@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus sanitizer passes: ThreadSanitizer over the parallel
 # experiment engine + parallel rollout collection + profiler, AddressSanitizer
-# over the batched RL kernels, a flight-recorder trace round-trip smoke test,
-# a profiler-enabled smoke run, and a telemetry smoke leg (sampled run ->
-# trace_summarize queries -> report_html). `--bench` adds the opt-in benchmark
-# regression leg (scripts/bench_regress.sh against BENCH_seed.json).
+# over the batched RL kernels, the event queue and the fleet engine, a
+# flight-recorder trace round-trip smoke test, a profiler-enabled smoke run, a
+# telemetry smoke leg (sampled run -> trace_summarize queries -> report_html),
+# fleet smoke legs, and the benchmark harness's own tests (perfbench/, built
+# in its own tree). `--bench` adds the opt-in benchmark regression leg
+# (scripts/bench_regress.sh against BENCH_seed.json).
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --no-sanitizers | --bench]
 set -euo pipefail
 
@@ -113,6 +115,17 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   diff "$TRACE_DIR/fleet_serial.json" "$TRACE_DIR/fleet_sharded.json" || {
     echo "fleet smoke: sharded summary diverged from serial" >&2; exit 1; }
   ./build/tools/json_check "$TRACE_DIR/fleet_serial.json"
+  # A malformed number, a non-positive duration or an unknown CCA must print
+  # usage and exit 2 — not run a degenerate scenario or abort.
+  for bad in --flows=abc --duration=-1 --cca=nosuch; do
+    rc=0
+    ./build/tools/fleet_run "$bad" > "$TRACE_DIR/bad.out" \
+      2> "$TRACE_DIR/bad.err" || rc=$?
+    [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
+      && grep -q "usage:" "$TRACE_DIR/bad.err" || {
+      echo "fleet smoke: fleet_run $bad exited $rc, want usage + exit 2" >&2
+      exit 1; }
+  done
   echo "fleet smoke: ok"
 
   echo "== fleet health smoke: windowed timeline + incidents, mode-invariant =="
@@ -164,6 +177,16 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     echo "datacenter smoke: policed sharded summary diverged" >&2; exit 1; }
   ./build/tools/json_check "$TRACE_DIR/policed_serial.json"
   echo "datacenter smoke: ok"
+
+  echo "== perfbench self-tests: the benchmark harness's own tests =="
+  # perfbench/ is its own CMake project (see perfbench/CMakeLists.txt), so
+  # its C++ tests build in a separate tree; the Python tests check run.py's
+  # flag validation and build nothing.
+  cmake -S perfbench -B build-perfbench >/dev/null
+  cmake --build build-perfbench -j "$JOBS" --target perfbench_test
+  (cd build-perfbench && ctest --output-on-failure -j "$JOBS")
+  python3 -m unittest discover -s perfbench/tests -p 'test_*.py'
+  echo "perfbench self-tests: ok"
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
@@ -179,16 +202,20 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
-  echo "== ASan: batched RL kernels + training path must be leak/overflow-free =="
+  echo "== ASan: RL kernels, training path, event queue, fleet engine =="
   cmake -B build-asan -S . -DLIBRA_SANITIZE=address >/dev/null
   # rl_test covers the GEMM kernels, workspaces and the PPO update path;
   # harness_test drives the trainer end-to-end; simd_test walks the AVX2
   # kernels' unaligned loads and padded-tail handling, in both dispatch
-  # modes. alloc_test is excluded: it replaces global operator new, which
+  # modes; sim_test drives the event queue's heap, lanes and slot pools;
+  # fleet_test runs both fleet engines with their outboxes and keyed merges.
+  # alloc_test is excluded: it replaces global operator new, which
   # conflicts with ASan's interceptors.
-  cmake --build build-asan -j "$JOBS" --target rl_test harness_test simd_test
+  cmake --build build-asan -j "$JOBS" \
+    --target rl_test harness_test simd_test sim_test fleet_test
   (cd build-asan && ./tests/rl_test && ./tests/harness_test \
-    && ./tests/simd_test && LIBRA_SIMD=off ./tests/simd_test)
+    && ./tests/simd_test && LIBRA_SIMD=off ./tests/simd_test \
+    && ./tests/sim_test && ./tests/fleet_test)
 
   echo "== UBSan: simd_test (lane arithmetic, exponent-bit tricks) =="
   cmake -B build-ubsan -S . -DLIBRA_SANITIZE=undefined >/dev/null

@@ -124,7 +124,6 @@ FleetOptions fleet_options(const FleetSpec& spec, std::uint64_t seed,
   opts.seed = seed;
   opts.sender.tick_interval = run.tick_interval;
   opts.sender.ecn_capable = spec.ecn_threshold_bytes > 0 || spec.policer_marks;
-  opts.soa_scan = run.soa_scan;
   return opts;
 }
 

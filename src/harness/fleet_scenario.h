@@ -108,9 +108,6 @@ struct FleetRunOptions {
   FleetMode mode = FleetMode::kSerial;
   std::size_t threads = 0;
   SimDuration tick_interval = msec(10);
-  /// false: per-sender self-scheduled tick timers (the naive baseline the
-  /// SoA scan is benchmarked against; see FleetOptions::soa_scan).
-  bool soa_scan = true;
   /// Streaming windowed health stats + anomaly detection; works under both
   /// engines and never perturbs the run. Read the report back through the
   /// FleetObsResult out-parameter of run_fleet.

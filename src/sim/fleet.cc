@@ -111,7 +111,7 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   cfg.start_time = def.start;
   cfg.stop_time = def.stop;
   cfg.byte_budget = def.byte_budget;
-  cfg.external_tick = opts_.soa_scan;
+  cfg.external_tick = true;
   auto snd = std::make_unique<Sender>(*shards_[r.sender_shard].queue, cfg,
                                       std::move(def.cca));
 
@@ -206,7 +206,7 @@ void FleetNetwork::setup() {
     for (int f : sh.flows) {
       const auto i = static_cast<std::size_t>(f);
       if (telemetry_) senders_[i]->set_telemetry(telemetry_.get());
-      if (opts_.soa_scan) senders_[i]->bind_fleet_slot(&hot_, i);
+      senders_[i]->bind_fleet_slot(&hot_, i);
       senders_[i]->start();
     }
     sh.queue->schedule_in(opts_.sender.tick_interval,
@@ -257,7 +257,7 @@ void FleetNetwork::shard_tick(std::size_t s) {
     for (int f : sh.flows)
       if (health_->needs_roll(f, now)) health_roll(f, now);
   }
-  if (opts_.soa_scan) {
+  {
     PROF_SCOPE("fleet.scan");
     const std::int64_t pkt = opts_.sender.packet_bytes;
     for (int f : sh.flows) {

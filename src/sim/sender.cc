@@ -78,15 +78,6 @@ void Sender::sync_hot() {
   hot_->flags[i] = flags;
 }
 
-void Sender::replace_cca(std::unique_ptr<CongestionControl> cca) {
-  if (!cca) throw std::invalid_argument("Sender: null controller");
-  cca_ = std::move(cca);
-  if (recorder_) cca_->bind_recorder(recorder_, config_.flow_id);
-  if (telemetry_) cca_->bind_telemetry(telemetry_, config_.flow_id);
-  wants_tick_ = cca_->wants_tick();
-  sync_hot();
-}
-
 void Sender::fill_telemetry(TelemetryFlowSample& sample) const {
   sample.cwnd_bytes = static_cast<double>(cca_->cwnd_bytes());
   sample.pacing_rate_bps = effective_pacing_rate();

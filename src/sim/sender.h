@@ -100,9 +100,6 @@ class Sender {
   CongestionControl& cca() { return *cca_; }
   const CongestionControl& cca() const { return *cca_; }
 
-  /// Replaces the congestion controller mid-flow (used by A/B harnesses).
-  void replace_cca(std::unique_ptr<CongestionControl> cca);
-
   /// The rate the pacer currently enforces, including the cwnd/SRTT-derived
   /// rate for window-driven CCAs — the fleet health layer's per-window
   /// pacing snapshot (same value fill_telemetry reports).

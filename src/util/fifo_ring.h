@@ -12,7 +12,9 @@ namespace libra {
 template <typename T>
 class FifoRing {
  public:
+  /// initial_capacity 0 defers the allocation to the first push.
   explicit FifoRing(std::size_t initial_capacity = 16) {
+    if (initial_capacity == 0) return;
     std::size_t cap = 1;
     while (cap < initial_capacity) cap <<= 1;
     slots_.resize(cap);
@@ -26,6 +28,7 @@ class FifoRing {
 
   T& front() { return slots_[head_]; }
   const T& front() const { return slots_[head_]; }
+  const T& back() const { return slots_[(head_ + size_ - 1) & (slots_.size() - 1)]; }
 
   void pop_front() {
     head_ = (head_ + 1) & (slots_.size() - 1);
@@ -37,7 +40,7 @@ class FifoRing {
 
  private:
   void grow() {
-    std::vector<T> bigger(slots_.size() * 2);
+    std::vector<T> bigger(slots_.empty() ? 16 : slots_.size() * 2);
     for (std::size_t i = 0; i < size_; ++i) {
       bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
     }

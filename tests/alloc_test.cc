@@ -12,9 +12,14 @@
 //     sample sized the columnar store;
 //   - fleet health: disabled hooks allocate nothing, and an enabled
 //     accumulate/roll steady state allocates nothing after prepare() sized
-//     the timeline.
+//     the timeline;
+//   - event queue: steady-state schedule/run cycles over every lane, the
+//     heap (schedule_at timers, keyed events, lane overflow) and re-keyed
+//     lanes allocate nothing once a warm-up cycle sized every ring, the heap
+//     and the slot pools.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -26,6 +31,7 @@
 #include "rl/matrix.h"
 #include "rl/ppo.h"
 #include "rl/simd.h"
+#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace {
@@ -229,6 +235,41 @@ TEST(FleetHealthAllocation, EnabledSteadyStateAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(), 0u)
       << "steady-state fleet-health accumulation touched the heap; prepare() "
          "must size every accumulator and row up front";
+}
+
+TEST(EventQueueAllocation, SteadyStateScheduleRunAllocatesNothing) {
+  EventQueue q;
+  long sink = 0;
+  std::uint64_t key = std::uint64_t{1} << 48;
+  // Five steady delays keep five lanes; the one-off delays re-key the other
+  // lanes whenever those have drained and overflow to the heap otherwise.
+  constexpr std::array<SimDuration, 5> kSteady = {0, 12, 500, 2000, 10000};
+  auto cycle = [&](int round) {
+    for (int i = 0; i < 50; ++i) {
+      for (SimDuration d : kSteady) q.schedule_in(d, [&sink] { ++sink; });
+      q.schedule_at(q.now() + usec(7 * i), [&sink] { ++sink; });
+      std::array<long, 6> fat{};
+      fat[0] = i;
+      q.schedule_in(usec(3000 + 13 * round + i), [&sink, fat] { sink += fat[0]; });
+      q.schedule_keyed(q.now() + usec(i), key++,
+                       EventQueue::Callback([&sink] { ++sink; }));
+      q.run_until(q.now() + usec(5));
+    }
+    q.run_until(q.now() + msec(50));  // drains every lane and the heap
+  };
+  cycle(0);  // warm-up: sizes the rings, the heap and both slot pools
+  cycle(1);
+  const std::uint64_t before = q.processed();
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (int round = 2; round < 6; ++round) cycle(round);
+  g_counting.store(false);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.processed() - before, 4u * 50u * 8u);
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "steady-state scheduling touched the heap; lane rings, the event "
+         "heap and the slot pools must be reused once sized";
+  EXPECT_GT(sink, 0);
 }
 
 TEST(ProfilerAllocation, DisabledSpanAllocatesNothing) {

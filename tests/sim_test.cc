@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/link.h"
 #include "sim/network.h"
 #include "sim/stats_window.h"
 #include "classic/newreno.h"
+#include "util/rng.h"
 
 namespace libra {
 namespace {
@@ -175,6 +181,165 @@ TEST(EventQueue, DestroysUnrunCallbacks) {
     EXPECT_FALSE(watch.expired());
   }
   EXPECT_TRUE(watch.expired());
+}
+
+// Reference-model property test: a std::set of every pending (time, key, id)
+// must pop in exactly the order the queue fires, whichever of the heap, a
+// lane, a re-keyed lane or a keyed slot held each event.
+class EventQueueModel {
+ public:
+  explicit EventQueueModel(std::uint64_t seed) : rng_(seed) {
+    q_.set_seq_source(active_);
+  }
+
+  void run(int rounds) {
+    for (int r = 0; r < rounds && failure_.empty(); ++r) {
+      // A burst at one instant on one delay class with alternating sequence
+      // sources: inserts into that delay class arrive out of key order.
+      for (int i = 0; i < 6; ++i) {
+        switch_source();
+        schedule_in(kRepeated[1]);
+      }
+      const auto ops = rng_.uniform_int(1, 20);
+      for (std::int64_t i = 0; i < ops; ++i) random_op();
+      // More one-off delays than the queue has lanes: they re-key whichever
+      // lanes have drained since the last round and overflow to the heap.
+      for (int i = 0; i < 10; ++i) schedule_in(rng_.uniform_int(5001, 9000));
+      boundary();
+    }
+    while (failure_.empty() && q_.run_next()) {}
+    check(ref_.empty(), "queue drained before the reference");
+    check(q_.empty() && q_.pending() == 0, "queue not empty at the end");
+  }
+
+  std::uint64_t fired() const { return fired_; }
+  const std::string& failure() const { return failure_; }
+
+ private:
+  static constexpr std::array<SimDuration, 4> kRepeated = {0, 7, 50, 1000};
+
+  void check(bool ok, const char* what) {
+    if (!ok && failure_.empty())
+      failure_ = std::string(what) + " (event " + std::to_string(fired_) + ")";
+  }
+
+  void switch_source() {
+    active_ = active_ == &seq_[0] ? &seq_[1] : &seq_[0];
+    q_.set_seq_source(active_);
+  }
+
+  void expect(SimTime t, std::uint64_t key) {
+    ref_.emplace(t, key, next_id_);
+    max_pending_ = std::max(max_pending_, ref_.size());
+  }
+
+  // Alternates hot-slot and cold-slot (fat) closures.
+  template <typename Schedule>
+  void with_callback(Schedule&& schedule) {
+    const int id = next_id_++;
+    if (id % 2) {
+      schedule([this, id] { on_fire(id); });
+    } else {
+      std::array<std::uint64_t, 6> pad{};
+      pad[0] = static_cast<std::uint64_t>(id);
+      schedule([this, pad] { on_fire(static_cast<int>(pad[0])); });
+    }
+  }
+
+  void schedule_at(SimTime t) {
+    const std::uint64_t key = *active_;
+    expect(t, key);
+    with_callback([&](auto fn) { q_.schedule_at(t, std::move(fn)); });
+    check(*active_ == key + 1, "schedule_at drew a wrong sequence number");
+  }
+
+  void schedule_in(SimDuration d) {
+    const std::uint64_t key = *active_;
+    expect(q_.now() + d, key);
+    with_callback([&](auto fn) { q_.schedule_in(d, std::move(fn)); });
+    check(*active_ == key + 1, "schedule_in drew a wrong sequence number");
+  }
+
+  void schedule_keyed(SimTime t) {
+    const std::uint64_t key = (*active_)++;
+    expect(t, key);
+    with_callback([&](auto fn) {
+      q_.schedule_keyed(t, key, EventQueue::Callback(std::move(fn)));
+    });
+  }
+
+  void random_op() {
+    const auto kind = rng_.uniform_int(0, 9);
+    if (kind == 0) {
+      switch_source();
+    } else if (kind <= 2) {
+      schedule_at(q_.now() + (rng_.chance(0.3) ? 0 : rng_.uniform_int(1, 3000)));
+    } else if (kind <= 7) {
+      schedule_in(rng_.chance(0.7)
+                      ? kRepeated[static_cast<std::size_t>(rng_.uniform_int(0, 3))]
+                      : rng_.uniform_int(1, 5000));
+    } else {
+      schedule_keyed(q_.now() + rng_.uniform_int(0, 3000));
+    }
+  }
+
+  void on_fire(int id) {
+    if (!failure_.empty()) return;
+    check(!ref_.empty(), "queue fired an event the reference does not hold");
+    if (ref_.empty()) return;
+    const auto [t, key, want] = *ref_.begin();
+    check(id == want, "pop order differs from (time, key) order");
+    check(q_.now() == t, "now() is not the fired event's time");
+    ref_.erase(ref_.begin());
+    check(q_.pending() == ref_.size(), "pending() disagrees inside a callback");
+    now_ = t;
+    ++fired_;
+    // Follow-ups from inside the callback, including same-instant ones.
+    if (rng_.chance(0.45)) random_op();
+    if (rng_.chance(0.1)) schedule_at(q_.now());
+    if (rng_.chance(0.1)) schedule_in(0);
+  }
+
+  void boundary() {
+    const auto kind = rng_.uniform_int(0, 2);
+    const SimTime t = q_.now() + rng_.uniform_int(0, 12000);
+    if (kind == 0) {
+      q_.run_until(t);
+      now_ = std::max(now_, t);
+      check(ref_.empty() || std::get<0>(*ref_.begin()) > t,
+            "run_until left a due event");
+    } else if (kind == 1) {
+      q_.run_before(t);
+      check(ref_.empty() || std::get<0>(*ref_.begin()) >= t,
+            "run_before left a due event");
+    } else {
+      const bool had = !ref_.empty();
+      check(q_.run_next() == had, "run_next result disagrees");
+    }
+    check(q_.now() == now_, "now() disagrees at a run boundary");
+    check(q_.pending() == ref_.size(), "pending() disagrees at a run boundary");
+    check(q_.max_pending() == max_pending_, "max_pending() disagrees");
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::uint64_t seq_[2] = {0, std::uint64_t{1} << 48};
+  std::uint64_t* active_ = &seq_[0];
+  std::set<std::tuple<SimTime, std::uint64_t, int>> ref_;
+  std::size_t max_pending_ = 0;
+  SimTime now_ = 0;
+  int next_id_ = 0;
+  std::uint64_t fired_ = 0;
+  std::string failure_;
+};
+
+TEST(EventQueue, PopOrderMatchesReferenceModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    EventQueueModel model(seed);
+    model.run(300);
+    EXPECT_EQ(model.failure(), "") << "seed " << seed;
+    EXPECT_GT(model.fired(), 5000u) << "seed " << seed;
+  }
 }
 
 LinkConfig test_link(RateBps rate = mbps(12), std::int64_t buffer = 15000,

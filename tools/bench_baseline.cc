@@ -259,20 +259,17 @@ double wl_lte_trace_ms() {
 // --- bench_fleet: the many-flow engine -------------------------------------
 // Incast fan-ins at 100 and 1000 flows, serial mode. ns/event is the per-
 // event cost of the SoA engine (events/s in reports is its reciprocal) on a
-// packet-dominated 960 Mbps fan-in. The soa/naive pair instead runs a 96 Mbps
-// 1000-flow fan-in — per-flow throughput is tiny, so the naive engine's
-// per-sender tick timers dominate its event count (~2/3 of all events) and
-// the pair measures the SoA scan's speedup in wall ms per simulated second.
+// packet-dominated 960 Mbps fan-in. fleet_incast_1000_soa instead runs a
+// 96 Mbps 1000-flow fan-in, where per-flow throughput is tiny and the shard
+// scan's per-tick work dominates, in wall ms per simulated second.
 
-FleetSummary run_fleet_incast(int flows, bool soa_scan, double sim_seconds,
+FleetSummary run_fleet_incast(int flows, double sim_seconds,
                               double rate_mbps = 960.0, bool health = false) {
   FleetSpec spec = incast_fleet(flows, rate_mbps, msec(1));
   spec.duration = static_cast<SimDuration>(sim_seconds * 1e6);
   spec.warmup = msec(250);
   std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 11);
-  FleetOptions opts = fleet_options(spec, 11, {});
-  opts.soa_scan = soa_scan;
-  FleetNetwork net(fleet_links(spec), opts);
+  FleetNetwork net(fleet_links(spec), fleet_options(spec, 11, {}));
   if (health) net.enable_health();
   for (const FleetFlowPlan& p : plans) {
     FleetFlowDef def;
@@ -289,30 +286,24 @@ FleetSummary run_fleet_incast(int flows, bool soa_scan, double sim_seconds,
 }
 
 double wl_fleet_incast_100_ns() {
-  FleetSummary s = run_fleet_incast(100, /*soa_scan=*/true, 1.0);
+  FleetSummary s = run_fleet_incast(100, 1.0);
   return s.wall_time_s * 1e9 / static_cast<double>(s.events_processed);
 }
 
 double wl_fleet_health_100_ns() {
   // fleet_incast_100 with the windowed health accumulators on: the pair
   // bounds the streaming-health hot-path overhead (acceptance: <= 5%).
-  FleetSummary s =
-      run_fleet_incast(100, /*soa_scan=*/true, 1.0, 960.0, /*health=*/true);
+  FleetSummary s = run_fleet_incast(100, 1.0, 960.0, /*health=*/true);
   return s.wall_time_s * 1e9 / static_cast<double>(s.events_processed);
 }
 
 double wl_fleet_incast_1000_ns() {
-  FleetSummary s = run_fleet_incast(1000, /*soa_scan=*/true, 0.5);
+  FleetSummary s = run_fleet_incast(1000, 0.5);
   return s.wall_time_s * 1e9 / static_cast<double>(s.events_processed);
 }
 
 double wl_fleet_incast_1000_soa_ms() {
-  FleetSummary s = run_fleet_incast(1000, /*soa_scan=*/true, 5.0, 96.0);
-  return s.wall_time_s * 1e3 / s.sim_time_s;
-}
-
-double wl_fleet_incast_1000_naive_ms() {
-  FleetSummary s = run_fleet_incast(1000, /*soa_scan=*/false, 5.0, 96.0);
+  FleetSummary s = run_fleet_incast(1000, 5.0, 96.0);
   return s.wall_time_s * 1e3 / s.sim_time_s;
 }
 
@@ -382,7 +373,6 @@ constexpr MetricDef kMetrics[] = {
     {"fleet_health_100", "ns/event", 0.75, wl_fleet_health_100_ns},
     {"fleet_incast_1000", "ns/event", 0.75, wl_fleet_incast_1000_ns},
     {"fleet_incast_1000_soa", "ms/simsec", 0.75, wl_fleet_incast_1000_soa_ms},
-    {"fleet_incast_1000_naive", "ms/simsec", 0.75, wl_fleet_incast_1000_naive_ms},
     {"dctcp_incast_100", "ns/event", 0.75, wl_dctcp_incast_100_ns},
     {"policed_bbr_40mbps", "ns/event", 0.75, wl_policed_bbr_ns},
 };

@@ -8,11 +8,18 @@
 //
 //   fleet_run --topo=incast --flows=100 --cca=cubic --mode=sharded --threads=4
 //   fleet_run --topo=parking_lot --hops=4 --flows=64 --duration=5 --churn
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "harness/fleet_scenario.h"
 #include "harness/zoo.h"
@@ -36,7 +43,6 @@ struct Options {
   bool churn = false;
   std::uint64_t seed = 1;
   bool events_only = false;
-  bool soa = true;
   double stagger_ms = -1;  // <0: topology default
   std::int64_t buffer_bytes = 0;  // 0: topology default
   bool health = false;
@@ -56,7 +62,7 @@ int usage(const char* argv0) {
          "       [--long-flows=N] [--cca=NAME] [--rate=MBPS] [--duration=S]\n"
          "       [--warmup=S] [--mode=serial|sharded] [--threads=N]\n"
          "       [--sender-shards=N] [--churn] [--seed=N] [--events-only]\n"
-         "       [--soa=0|1] [--stagger=MS] [--buffer=BYTES] [--health]\n"
+         "       [--stagger=MS] [--buffer=BYTES] [--health]\n"
          "       [--record=EVENTS] [--ecn=BYTES] [--policer-rate=MBPS]\n"
          "       [--policer-burst=BYTES] [--policer-mark]\n"
          "       [--policer-start=S] [--policer-stop=S]\n\n"
@@ -66,9 +72,47 @@ int usage(const char* argv0) {
          "--health adds a \"health\" object: the windowed fleet timeline plus\n"
          "severity-ranked anomaly incidents (also mode-invariant).\n"
          "--record=N keeps a black-box ring of the last N trace events\n"
-         "(bounded memory; serial mode only); ring stats go to stderr.\n";
+         "(bounded memory; serial mode only); ring stats go to stderr.\n"
+         "A malformed or out-of-range value, or an unknown flag, topology,\n"
+         "mode or CCA name, prints this message and exits 2.\n";
   return 2;
 }
+
+// Strict numeric flag values: the whole string must be a number in
+// [lo, hi]; "abc", "3x", "", " 3", "+3" and out-of-range values fail.
+template <typename Int>
+bool parse_int(const char* s, Int lo, Int hi, Int& out) {
+  const bool neg_ok = std::is_signed_v<Int> && *s == '-';
+  if (!std::isdigit(static_cast<unsigned char>(*s)) && !neg_ok) return false;
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_signed_v<Int>) {
+    const long long v = std::strtoll(s, &end, 10);
+    if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+    out = static_cast<Int>(v);
+  } else {
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+    out = static_cast<Int>(v);
+  }
+  return true;
+}
+
+bool parse_real(const char* s, double lo, double hi, double& out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '-' && *s != '.')
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v) || v < lo || v > hi)
+    return false;
+  out = v;
+  return true;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 
 bool parse_args(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
@@ -77,48 +121,51 @@ bool parse_args(int argc, char** argv, Options& o) {
       std::size_t n = std::strlen(key);
       return arg.compare(0, n, key) == 0 ? arg.c_str() + n : nullptr;
     };
+    bool ok = true;
     if (const char* v = value("--topo=")) {
       o.topo = v;
+      ok = o.topo == "incast" || o.topo == "parking_lot";
     } else if (const char* v = value("--cca=")) {
       o.cca = v;
+      const std::vector<std::string> names = CcaZoo::all_names();
+      ok = std::find(names.begin(), names.end(), o.cca) != names.end();
     } else if (const char* v = value("--flows=")) {
-      o.flows = std::atoi(v);
+      ok = parse_int(v, 1, kIntMax, o.flows);
     } else if (const char* v = value("--hops=")) {
-      o.hops = std::atoi(v);
+      ok = parse_int(v, 1, kIntMax, o.hops);
     } else if (const char* v = value("--long-flows=")) {
-      o.long_flows = std::atoi(v);
+      ok = parse_int(v, 0, kIntMax, o.long_flows);
     } else if (const char* v = value("--rate=")) {
-      o.rate_mbps = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.rate_mbps) && o.rate_mbps > 0;
     } else if (const char* v = value("--duration=")) {
-      o.duration_s = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.duration_s) && o.duration_s > 0;
     } else if (const char* v = value("--warmup=")) {
-      o.warmup_s = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.warmup_s);
     } else if (const char* v = value("--mode=")) {
       o.mode = v;
+      ok = o.mode == "serial" || o.mode == "sharded";
     } else if (const char* v = value("--threads=")) {
-      o.threads = static_cast<std::size_t>(std::atoi(v));
+      ok = parse_int<std::size_t>(v, 0, 4096, o.threads);
     } else if (const char* v = value("--sender-shards=")) {
-      o.sender_shards = std::atoi(v);
+      ok = parse_int(v, 0, kIntMax, o.sender_shards);
     } else if (const char* v = value("--seed=")) {
-      o.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--soa=")) {
-      o.soa = std::atoi(v) != 0;
+      ok = parse_int<std::uint64_t>(v, 0, ~std::uint64_t{0}, o.seed);
     } else if (const char* v = value("--stagger=")) {
-      o.stagger_ms = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.stagger_ms);
     } else if (const char* v = value("--buffer=")) {
-      o.buffer_bytes = std::atoll(v);
+      ok = parse_int<std::int64_t>(v, 1, kI64Max, o.buffer_bytes);
     } else if (const char* v = value("--record=")) {
-      o.record = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = parse_int<std::size_t>(v, 0, std::size_t{1} << 32, o.record);
     } else if (const char* v = value("--ecn=")) {
-      o.ecn_bytes = std::atoll(v);
+      ok = parse_int<std::int64_t>(v, 0, kI64Max, o.ecn_bytes);
     } else if (const char* v = value("--policer-rate=")) {
-      o.policer_rate_mbps = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.policer_rate_mbps);
     } else if (const char* v = value("--policer-burst=")) {
-      o.policer_burst = std::atoll(v);
+      ok = parse_int<std::int64_t>(v, 1, kI64Max, o.policer_burst);
     } else if (const char* v = value("--policer-start=")) {
-      o.policer_start_s = std::atof(v);
+      ok = parse_real(v, 0, kInf, o.policer_start_s);
     } else if (const char* v = value("--policer-stop=")) {
-      o.policer_stop_s = std::atof(v);
+      ok = parse_real(v, -kInf, kInf, o.policer_stop_s);
     } else if (arg == "--policer-mark") {
       o.policer_mark = true;
     } else if (arg == "--health") {
@@ -130,6 +177,10 @@ bool parse_args(int argc, char** argv, Options& o) {
     } else {
       return false;
     }
+    if (!ok) {
+      std::cerr << "bad value: " << arg << "\n";
+      return false;
+    }
   }
   return true;
 }
@@ -138,13 +189,10 @@ int run(const Options& o) {
   FleetSpec spec;
   if (o.topo == "incast") {
     spec = incast_fleet(o.flows, o.rate_mbps > 0 ? o.rate_mbps : 960.0);
-  } else if (o.topo == "parking_lot") {
-    const int cross = std::max(1, o.flows / std::max(1, o.hops));
+  } else {
+    const int cross = std::max(1, o.flows / o.hops);
     spec = parking_lot_fleet(o.hops, cross, o.long_flows,
                              o.rate_mbps > 0 ? o.rate_mbps : 96.0);
-  } else {
-    std::cerr << "unknown --topo=" << o.topo << "\n";
-    return 2;
   }
   spec.duration = static_cast<SimDuration>(o.duration_s * 1e6);
   spec.warmup = static_cast<SimDuration>(o.warmup_s * 1e6);
@@ -163,14 +211,8 @@ int run(const Options& o) {
                           : static_cast<SimTime>(o.policer_stop_s * 1e6);
 
   FleetRunOptions run_opts;
-  if (o.mode == "sharded") {
-    run_opts.mode = FleetMode::kSharded;
-  } else if (o.mode != "serial") {
-    std::cerr << "unknown --mode=" << o.mode << "\n";
-    return 2;
-  }
+  if (o.mode == "sharded") run_opts.mode = FleetMode::kSharded;
   run_opts.threads = o.threads;
-  run_opts.soa_scan = o.soa;
   run_opts.health = o.health;
   run_opts.record_capacity = o.record;
 
