@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus sanitizer passes: ThreadSanitizer over the parallel
-# experiment engine + parallel rollout collection + profiler, AddressSanitizer
-# over the batched RL kernels, the event queue and the fleet engine, a
-# flight-recorder trace round-trip smoke test, a profiler-enabled smoke run, a
-# telemetry smoke leg (sampled run -> trace_summarize queries -> report_html),
-# fleet smoke legs, and the benchmark harness's own tests (perfbench/, built
-# in its own tree). `--bench` adds the opt-in benchmark regression leg
-# (scripts/bench_regress.sh against BENCH_seed.json).
+# experiment engine + parallel rollout collection + profiler, ASan+UBSan over
+# the whole suite except alloc_test, a flight-recorder trace round-trip smoke
+# test, a profiler-enabled smoke run, a telemetry smoke leg (sampled run ->
+# trace_summarize queries -> report_html), fleet smoke legs, and the
+# benchmark harness's own tests (perfbench/, built in its own tree).
+# `--bench` adds the opt-in benchmark regression leg (scripts/bench_regress.sh
+# against BENCH_seed.json).
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --no-sanitizers | --bench]
 set -euo pipefail
 
@@ -51,6 +51,19 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     echo "trace round-trip: missing totals line" >&2; exit 1; }
   grep -q '"link_utilization"' "$TRACE_DIR/summary.json" || {
     echo "trace round-trip: record_run emitted no JSON summary" >&2; exit 1; }
+  # A malformed or non-positive value must print usage and exit 2 — not
+  # abort, run a degenerate scenario or sample every microsecond.
+  for bad in --rate=abc --duration=-1 --flows=2x \
+    "--sample-ms=abc --telemetry=$TRACE_DIR/bad_tel.jsonl"; do
+    rc=0
+    # shellcheck disable=SC2086  # the last case is two flags
+    ./build/tools/record_run --no-trace $bad > "$TRACE_DIR/bad.out" \
+      2> "$TRACE_DIR/bad.err" || rc=$?
+    [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
+      && grep -q "usage:" "$TRACE_DIR/bad.err" || {
+      echo "trace round-trip: record_run $bad exited $rc, want usage + exit 2" >&2
+      exit 1; }
+  done
   echo "trace round-trip: ok"
 
   echo "== profiler smoke: profiled run + validated JSON artifacts =="
@@ -202,25 +215,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
-  echo "== ASan: RL kernels, training path, event queue, fleet engine =="
-  cmake -B build-asan -S . -DLIBRA_SANITIZE=address >/dev/null
-  # rl_test covers the GEMM kernels, workspaces and the PPO update path;
-  # harness_test drives the trainer end-to-end; simd_test walks the AVX2
-  # kernels' unaligned loads and padded-tail handling, in both dispatch
-  # modes; sim_test drives the event queue's heap, lanes and slot pools;
-  # fleet_test runs both fleet engines with their outboxes and keyed merges.
-  # alloc_test is excluded: it replaces global operator new, which
-  # conflicts with ASan's interceptors.
-  cmake --build build-asan -j "$JOBS" \
-    --target rl_test harness_test simd_test sim_test fleet_test
-  (cd build-asan && ./tests/rl_test && ./tests/harness_test \
-    && ./tests/simd_test && LIBRA_SIMD=off ./tests/simd_test \
-    && ./tests/sim_test && ./tests/fleet_test)
-
-  echo "== UBSan: simd_test (lane arithmetic, exponent-bit tricks) =="
-  cmake -B build-ubsan -S . -DLIBRA_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "$JOBS" --target simd_test
-  (cd build-ubsan && ./tests/simd_test)
+  echo "== ASan+UBSan: the whole suite except alloc_test =="
+  # alloc_test replaces global operator new, which conflicts with ASan's
+  # allocator, so the ASan build leaves it out (tests/CMakeLists.txt). UBSan
+  # is built -fno-sanitize-recover, so any report fails its test. simd_test
+  # runs once more with scalar dispatch.
+  cmake -B build-asan -S . -DLIBRA_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$JOBS" --target libra_tests
+  (cd build-asan && ctest --output-on-failure -j "$JOBS" \
+    && LIBRA_SIMD=off ./tests/simd_test)
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then

@@ -32,6 +32,10 @@
 // lane is re-keyed to the next delay that has none, so one-off delays (an
 // LTE link gives every dequeue its own serialization time) mostly stay off
 // the heap too.
+//
+// The class is cache-line aligned: a fleet runs one queue per shard, and the
+// counters every dispatch writes (processed_, pending_, max_pending_) must
+// not share a line with a neighbouring shard's queue.
 #pragma once
 
 #include <algorithm>
@@ -48,7 +52,7 @@
 
 namespace libra {
 
-class EventQueue {
+class alignas(64) EventQueue {
  public:
   // Cold slots, sized for the largest simulator capture (the ACK closure:
   // Packet + two words of context); anything bigger degrades to one heap

@@ -25,7 +25,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
   shards_.resize(nshards);
   seq_.resize(nshards);
   for (std::size_t s = 0; s < nshards; ++s)
-    seq_[s] = static_cast<std::uint64_t>(s) << kShardShift;
+    seq_[s].next = static_cast<std::uint64_t>(s) << kShardShift;
 
   if (mode_ == FleetMode::kSerial) {
     shard_events_.assign(nshards, 0);
@@ -37,7 +37,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     queues_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
       queues_.push_back(std::make_unique<EventQueue>());
-      queues_[s]->set_seq_source(&seq_[s]);
+      queues_[s]->set_seq_source(&seq_[s].next);
       shards_[s].queue = queues_[s].get();
     }
     outbox_.resize(nshards);
@@ -122,23 +122,10 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   snd->set_transmit([this, first, src, dst, access](Packet pkt) {
     post(src, dst, access, [first, pkt] { first->send(pkt); });
   });
-  snd->ack_observer = [this, id](const AckEvent& ev) {
-    const auto i = static_cast<std::size_t>(id);
-    acked_bytes_[i] += ev.acked_bytes;
-    rtt_sum_us_[i] += ev.rtt;
-    ++rtt_samples_[i];
-    if (health_on_) {
-      if (health_->needs_roll(id, ev.now)) health_roll(id, ev.now);
-      health_->on_ack(id, ev.acked_bytes, ev.rtt);
-    }
-  };
 
   shards_[r.sender_shard].flows.push_back(id);
   routes_.push_back(r);
   senders_.push_back(std::move(snd));
-  acked_bytes_.push_back(0);
-  rtt_sum_us_.push_back(0);
-  rtt_samples_.push_back(0);
   acked_bytes_w0_.push_back(0);
   rtt_sum_us_w0_.push_back(0);
   rtt_samples_w0_.push_back(0);
@@ -170,7 +157,16 @@ void FleetNetwork::compute_lookahead() {
 }
 
 void FleetNetwork::setup() {
-  hot_.resize(senders_.size());
+  // Shard-major hot rows: each shard's flows take one contiguous block with
+  // kRowPad spare rows on either side, so a shard's scan and its senders'
+  // sync_hot() write cache lines no other shard writes.
+  row_.resize(senders_.size());
+  std::size_t rows = kRowPad;
+  for (const Shard& sh : shards_) {
+    for (int f : sh.flows) row_[static_cast<std::size_t>(f)] = rows++;
+    rows += kRowPad;
+  }
+  hot_.resize(rows);
   health_on_ = health_ && health_->enabled();
   if (health_on_) {
     std::vector<FleetFlowMeta> metas(senders_.size());
@@ -181,10 +177,14 @@ void FleetNetwork::setup() {
       metas[i].byte_budget = cfg.byte_budget;
     }
     health_->prepare(opts_.duration, std::move(metas));
-    // Loss/send observers are wired only when health is on, so a health-off
-    // run keeps the sender's plain null-observer checks on those paths.
+    // Observers are wired only when health is on, so a health-off run keeps
+    // the sender's plain null-observer checks on its ack/loss/send paths.
     for (std::size_t i = 0; i < senders_.size(); ++i) {
       const int id = static_cast<int>(i);
+      senders_[i]->ack_observer = [this, id](const AckEvent& ev) {
+        if (health_->needs_roll(id, ev.now)) health_roll(id, ev.now);
+        health_->on_ack(id, ev.acked_bytes, ev.rtt);
+      };
       senders_[i]->loss_observer = [this, id](const LossEvent& ev) {
         if (health_->needs_roll(id, ev.now)) health_roll(id, ev.now);
         health_->on_loss(id);
@@ -206,7 +206,7 @@ void FleetNetwork::setup() {
     for (int f : sh.flows) {
       const auto i = static_cast<std::size_t>(f);
       if (telemetry_) senders_[i]->set_telemetry(telemetry_.get());
-      senders_[i]->bind_fleet_slot(&hot_, i);
+      senders_[i]->bind_fleet_slot(&hot_, row_[i]);
       senders_[i]->start();
     }
     sh.queue->schedule_in(opts_.sender.tick_interval,
@@ -241,11 +241,12 @@ void FleetNetwork::shard_tick(std::size_t s) {
     sh.window_snapped = true;
     for (int f : sh.flows) {
       const auto i = static_cast<std::size_t>(f);
-      acked_bytes_w0_[i] = acked_bytes_[i];
-      rtt_sum_us_w0_[i] = rtt_sum_us_[i];
-      rtt_samples_w0_[i] = rtt_samples_[i];
-      sent_w0_[i] = senders_[i]->packets_sent();
-      lost_w0_[i] = senders_[i]->packets_lost();
+      const Sender& snd = *senders_[i];
+      acked_bytes_w0_[i] = snd.delivered_bytes();
+      rtt_sum_us_w0_[i] = snd.rtt_sum();
+      rtt_samples_w0_[i] = snd.packets_acked();
+      sent_w0_[i] = snd.packets_sent();
+      lost_w0_[i] = snd.packets_lost();
     }
     for (int h : sh.hops)
       hop_delivered_w0_[static_cast<std::size_t>(h)] =
@@ -261,7 +262,7 @@ void FleetNetwork::shard_tick(std::size_t s) {
     PROF_SCOPE("fleet.scan");
     const std::int64_t pkt = opts_.sender.packet_bytes;
     for (int f : sh.flows) {
-      const auto i = static_cast<std::size_t>(f);
+      const std::size_t i = row_[static_cast<std::size_t>(f)];
       const std::uint8_t bits = hot_.flags[i];
       if (!(bits & FleetFlowHot::kActive)) continue;
       if (now >= hot_.stop_time[i]) {
@@ -270,7 +271,7 @@ void FleetNetwork::shard_tick(std::size_t s) {
       }
       if ((bits & FleetFlowHot::kWantsTick) || now >= hot_.rto_deadline[i] ||
           hot_.send_headroom[i] >= pkt) {
-        senders_[i]->run_tick(now);
+        senders_[static_cast<std::size_t>(f)]->run_tick(now);
       }
     }
   }
@@ -305,7 +306,7 @@ void FleetNetwork::telemetry_tick() {
   TelemetryFlowSample fs;
   for (std::size_t i = 0; i < senders_.size(); ++i) {
     senders_[i]->fill_telemetry(fs);
-    fs.acked_bytes = static_cast<double>(acked_bytes_[i]);
+    fs.acked_bytes = static_cast<double>(senders_[i]->delivered_bytes());
     telemetry_->sample_flow(static_cast<int>(i), fs);
   }
   TelemetryQueueSample qs;
@@ -400,12 +401,12 @@ std::uint64_t FleetNetwork::events_processed() const {
 
 FleetFlowRef FleetNetwork::flow(int id) const {
   const auto i = static_cast<std::size_t>(id);
-  const std::uint8_t bits = i < hot_.size() ? hot_.flags[i] : 0;
-  return FleetFlowRef{*senders_[i],
-                      (bits & FleetFlowHot::kActive) != 0,
+  if (i >= row_.size()) return FleetFlowRef{*senders_[i]};  // before run()
+  const std::size_t r = row_[i];
+  const std::uint8_t bits = hot_.flags[r];
+  return FleetFlowRef{*senders_[i], (bits & FleetFlowHot::kActive) != 0,
                       (bits & FleetFlowHot::kWantsTick) != 0,
-                      i < hot_.size() ? hot_.rto_deadline[i] : 0,
-                      i < hot_.size() ? hot_.send_headroom[i] : 0};
+                      hot_.rto_deadline[r], hot_.send_headroom[r]};
 }
 
 void FleetNetwork::enable_telemetry(const TelemetryConfig& config) {
@@ -455,22 +456,21 @@ FleetSummary FleetNetwork::summarize() const {
   std::size_t fair_n = 0;
   out.flows.reserve(senders_.size());
   for (std::size_t i = 0; i < senders_.size(); ++i) {
+    const Sender& snd = *senders_[i];
     FleetFlowSummary fs;
-    const std::int64_t bytes = acked_bytes_[i] - acked_bytes_w0_[i];
+    const std::int64_t bytes = snd.delivered_bytes() - acked_bytes_w0_[i];
     fs.throughput_bps = win > 0 ? static_cast<double>(bytes) * 8.0 / win : 0.0;
-    const std::int64_t n = rtt_samples_[i] - rtt_samples_w0_[i];
-    fs.avg_rtt_ms =
-        n > 0 ? static_cast<double>(rtt_sum_us_[i] - rtt_sum_us_w0_[i]) /
-                    (1000.0 * static_cast<double>(n))
-              : 0.0;
-    const std::int64_t sent = senders_[i]->packets_sent() - sent_w0_[i];
-    const std::int64_t lost = senders_[i]->packets_lost() - lost_w0_[i];
+    const std::int64_t n = snd.packets_acked() - rtt_samples_w0_[i];
+    const std::int64_t flow_rtt_sum = snd.rtt_sum() - rtt_sum_us_w0_[i];
+    fs.avg_rtt_ms = n > 0 ? static_cast<double>(flow_rtt_sum) /
+                                (1000.0 * static_cast<double>(n))
+                          : 0.0;
+    const std::int64_t sent = snd.packets_sent() - sent_w0_[i];
+    const std::int64_t lost = snd.packets_lost() - lost_w0_[i];
     fs.loss_rate =
         sent > 0 ? static_cast<double>(lost) / static_cast<double>(sent) : 0.0;
-    fs.completion_s = senders_[i]->finished()
-                          ? to_seconds(senders_[i]->finished_time())
-                          : -1.0;
-    rtt_sum += rtt_sum_us_[i] - rtt_sum_us_w0_[i];
+    fs.completion_s = snd.finished() ? to_seconds(snd.finished_time()) : -1.0;
+    rtt_sum += flow_rtt_sum;
     rtt_n += n;
     out.total_throughput_bps += fs.throughput_bps;
     if (fs.throughput_bps > 0) {

@@ -36,6 +36,14 @@
 // shard runs a single periodic scan over the FleetFlowHot SoA rows of its
 // flows and only calls into Sender objects that have actual work (RTO hit,
 // tick-driven controller, window headroom). See sim/flow_soa.h.
+//
+// No cache line the engine writes on that path is shared by two shards, even
+// though topologies interleave flow ids across shards (parking-lot flow i
+// enters hop i % hops): setup() lays the SoA rows out shard-major, one
+// padded block per shard, behind a flow id -> row map; the per-shard key
+// counters sit one per cache line; each shard's EventQueue and each hop's
+// DropTailLink are line-aligned objects; and per-flow measurement reads the
+// Sender's own counters, so an ACK writes nothing outside its sender.
 #pragma once
 
 #include <cstdint>
@@ -228,6 +236,15 @@ class FleetNetwork {
     bool window_snapped = false;
   };
 
+  // One cache line per counter: a shard bumps its own on every schedule.
+  struct alignas(64) SeqCounter {
+    std::uint64_t next = 0;
+  };
+
+  // Spare FleetFlowHot rows around every shard's block: 64 rows span at
+  // least one cache line of every column, even the one-byte flags.
+  static constexpr std::size_t kRowPad = 64;
+
   struct PostedMsg {
     SimTime t = 0;
     std::uint64_t key = 0;
@@ -240,7 +257,7 @@ class FleetNetwork {
   /// component-internal scheduling comes from that shard's counter.
   void set_context(std::size_t shard) {
     current_ = shard;
-    queues_[0]->set_seq_source(&seq_[shard]);
+    queues_[0]->set_seq_source(&seq_[shard].next);
   }
   static void pop_hook(void* ctx, std::uint64_t key) {
     auto* self = static_cast<FleetNetwork*>(ctx);
@@ -263,7 +280,7 @@ class FleetNetwork {
       throw std::logic_error("FleetNetwork: cross-shard delay below lookahead");
     EventQueue& q = *shards_[src].queue;
     const SimTime t = q.now() + delay;
-    const std::uint64_t key = seq_[src]++;
+    const std::uint64_t key = seq_[src].next++;
     if (mode_ == FleetMode::kSerial) {
       // Executing a cross-shard message means executing *as* the destination:
       // the wrapper switches the context the pop hook set from the key's
@@ -307,17 +324,18 @@ class FleetNetwork {
   std::vector<std::unique_ptr<DropTailLink>> links_;
   std::vector<std::unique_ptr<Sender>> senders_;
   std::vector<Route> routes_;
-  FleetFlowHot hot_;
+  FleetFlowHot hot_;                // rows in shard-major order (setup())
+  std::vector<std::size_t> row_;    // flow id -> hot_ row (setup())
 
-  // Per-flow measurement accumulators. Integer sums in event order, so the
-  // derived summary doubles are an exact function of the simulated run.
-  std::vector<std::int64_t> acked_bytes_, rtt_sum_us_, rtt_samples_;
+  // Measurement-window snapshots of the senders' integer counters, taken at
+  // each shard's window start, so the derived summary doubles are an exact
+  // function of the simulated run.
   std::vector<std::int64_t> acked_bytes_w0_, rtt_sum_us_w0_, rtt_samples_w0_;
   std::vector<std::int64_t> sent_w0_, lost_w0_;
   std::vector<std::int64_t> hop_delivered_w0_;
   SimTime window_start_ = 0;
 
-  std::vector<std::uint64_t> seq_;  // per-shard key counters, pre-shifted
+  std::vector<SeqCounter> seq_;     // per-shard key counters, pre-shifted
   std::size_t current_ = 0;         // serial mode: executing shard
   std::vector<std::uint64_t> shard_events_;  // serial: events per shard
   std::vector<std::vector<std::vector<PostedMsg>>> outbox_;  // [src][dst]

@@ -13,6 +13,11 @@
 // row (sync_hot) at the end of every state-changing entry point, and every
 // transition that could create work for a skipped flow happens inside such an
 // entry point. Flow objects stay the API; this is the view the hot loop takes.
+//
+// Rows are not flow ids. The fleet engine assigns them shard-major, one
+// contiguous block per shard with spare rows around it, and keeps a flow id
+// -> row map (FleetNetwork::setup); a shard's scan and its senders then write
+// only cache lines no other shard writes. Spare rows stay inactive.
 #pragma once
 
 #include <cstdint>

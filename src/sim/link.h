@@ -1,6 +1,9 @@
 // Bottleneck link with a droptail (FIFO, byte-limited) queue, trace-driven
 // time-varying capacity, stochastic wire loss and fixed propagation delay.
 // This is the simulator's stand-in for a Mahimahi link shell.
+//
+// Cache-line aligned, so the per-packet counters of one fleet hop never share
+// a line with the next hop's link, which another shard writes.
 #pragma once
 
 #include <functional>
@@ -42,7 +45,7 @@ struct LinkConfig {
   SimTime policer_stop = kSimTimeMax;
 };
 
-class DropTailLink {
+class alignas(64) DropTailLink {
  public:
   /// Called when a packet exits the far end of the link.
   using DeliverFn = std::function<void(const Packet&)>;

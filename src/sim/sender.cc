@@ -198,6 +198,7 @@ void Sender::on_ack_packet(const Packet& pkt) {
 
   SimDuration rtt = now - info.sent_time;
   update_rtt(rtt);
+  rtt_sum_ += rtt;
   delivered_bytes_ += info.bytes;
   delivered_time_ = now;
 

@@ -108,6 +108,8 @@ class Sender {
   std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
   std::int64_t packets_sent() const { return packets_sent_; }
   std::int64_t packets_acked() const { return packets_acked_; }
+  /// Sum of the raw per-ACK RTT samples, one per packets_acked().
+  SimDuration rtt_sum() const { return rtt_sum_; }
   std::int64_t packets_lost() const { return packets_lost_; }
   /// ACKs that carried a CE echo (0 for non-ECN flows).
   std::int64_t packets_ce() const { return packets_ce_; }
@@ -235,6 +237,7 @@ class Sender {
   SimDuration srtt_ = 0;
   SimDuration rttvar_ = 0;
   SimDuration min_rtt_ = 0;
+  SimDuration rtt_sum_ = 0;
 
   // Delivery-rate sampling.
   std::int64_t delivered_bytes_ = 0;

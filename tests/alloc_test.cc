@@ -17,12 +17,19 @@
 //     heap (schedule_at timers, keyed events, lane overflow) and re-keyed
 //     lanes allocate nothing once a warm-up cycle sized every ring, the heap
 //     and the slot pools.
+//
+// The counting wrapper replaces the over-aligned forms too: cache-line
+// aligned types (EventQueue, DropTailLink, the fleet's per-shard counters)
+// are allocated through operator new(size_t, align_val_t), which an audit
+// that only replaced the plain forms would never see.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "obs/fleet_stats.h"
@@ -37,6 +44,11 @@
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+
+// Every replaced operator delete frees through this out-of-line call, so
+// GCC's -Wmismatched-new-delete, which cannot tell that the replaced
+// operator new forms use malloc/aligned_alloc, sees no free() to flag.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -46,10 +58,31 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (g_counting.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = ((size ? size : 1) + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
 
 namespace libra {
 namespace {
@@ -270,6 +303,19 @@ TEST(EventQueueAllocation, SteadyStateScheduleRunAllocatesNothing) {
       << "steady-state scheduling touched the heap; lane rings, the event "
          "heap and the slot pools must be reused once sized";
   EXPECT_GT(sink, 0);
+}
+
+TEST(EventQueueAllocation, OverAlignedQueueAllocationIsCounted) {
+  // EventQueue is cache-line aligned, so a heap queue goes through the
+  // aligned operator new; the audit must count it like any other allocation.
+  static_assert(alignof(EventQueue) > __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  g_allocations.store(0);
+  g_counting.store(true);
+  auto q = std::make_unique<EventQueue>();
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 1u)
+      << "the over-aligned EventQueue allocation bypassed the counter";
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q.get()) % alignof(EventQueue), 0u);
 }
 
 TEST(ProfilerAllocation, DisabledSpanAllocatesNothing) {

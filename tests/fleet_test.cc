@@ -257,6 +257,54 @@ TEST(FleetEngine, FiniteFlowsFinishAndReportCompletion) {
   EXPECT_FALSE(net.flow(0).active);
 }
 
+TEST(FleetEngine, FlowRefTracksItsOwnSenderOnEveryShard) {
+  // The hot rows are laid out shard-major, not by flow id, and a parking lot
+  // interleaves flows across shards (cross flow i enters hop i % hops). So
+  // every flow's FleetFlowRef must read the row its own sender refreshes:
+  // a ref that indexed the rows by flow id would report another flow's (or
+  // a spare, inactive) row.
+  FleetSpec spec = parking_lot_fleet(/*hops=*/4, /*cross_per_hop=*/6,
+                                     /*long_flows=*/2, /*rate_mbps=*/48.0);
+  spec.duration = sec(2);
+  spec.warmup = sec(1);
+  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 1);
+  ASSERT_EQ(plans.size(), 26u);
+  for (FleetMode mode : {FleetMode::kSerial, FleetMode::kSharded}) {
+    SCOPED_TRACE(mode == FleetMode::kSerial ? "serial" : "sharded");
+    FleetRunOptions run;
+    run.mode = mode;
+    run.threads = 2;
+    FleetNetwork net(fleet_links(spec), fleet_options(spec, 1, run));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      FleetFlowDef def;
+      if (i % 2 == 0) {
+        def.cca = std::make_unique<Cubic>();
+      } else {
+        def.cca = std::make_unique<Bbr>();
+      }
+      def.start = plans[i].start;
+      def.stop = plans[i].stop;
+      def.byte_budget = plans[i].byte_budget;
+      def.enter_hop = plans[i].enter_hop;
+      def.exit_hop = plans[i].exit_hop;
+      net.add_flow(std::move(def));
+    }
+    net.run();
+    ASSERT_EQ(net.shard_count(), 4u);
+    for (int id = 0; id < net.flow_count(); ++id) {
+      SCOPED_TRACE("flow " + std::to_string(id));
+      const FleetFlowRef ref = net.flow(id);
+      const Sender& snd = net.sender(id);
+      EXPECT_EQ(&ref.sender, &snd);
+      EXPECT_EQ(ref.sender.config().flow_id, id);
+      EXPECT_TRUE(ref.active);
+      EXPECT_EQ(ref.wants_tick, snd.cca().wants_tick());
+      EXPECT_EQ(ref.send_headroom, snd.cca().cwnd_bytes() - snd.bytes_in_flight());
+      EXPECT_EQ(ref.rto_deadline == kSimTimeMax, snd.bytes_in_flight() == 0);
+    }
+  }
+}
+
 TEST(FleetEngine, RejectsCrossShardDelayBelowLookahead) {
   FleetSpec spec = parking_lot_fleet(2, 1);
   spec.hop_delay = 0;  // cross-shard edge with zero delay: no valid lookahead

@@ -9,18 +9,14 @@
 //   fleet_run --topo=incast --flows=100 --cca=cubic --mode=sharded --threads=4
 //   fleet_run --topo=parking_lot --hops=4 --flows=64 --duration=5 --churn
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "flag_parse.h"
 #include "harness/fleet_scenario.h"
 #include "harness/zoo.h"
 #include "obs/json.h"
@@ -76,38 +72,6 @@ int usage(const char* argv0) {
          "A malformed or out-of-range value, or an unknown flag, topology,\n"
          "mode or CCA name, prints this message and exits 2.\n";
   return 2;
-}
-
-// Strict numeric flag values: the whole string must be a number in
-// [lo, hi]; "abc", "3x", "", " 3", "+3" and out-of-range values fail.
-template <typename Int>
-bool parse_int(const char* s, Int lo, Int hi, Int& out) {
-  const bool neg_ok = std::is_signed_v<Int> && *s == '-';
-  if (!std::isdigit(static_cast<unsigned char>(*s)) && !neg_ok) return false;
-  char* end = nullptr;
-  errno = 0;
-  if constexpr (std::is_signed_v<Int>) {
-    const long long v = std::strtoll(s, &end, 10);
-    if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
-    out = static_cast<Int>(v);
-  } else {
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
-    out = static_cast<Int>(v);
-  }
-  return true;
-}
-
-bool parse_real(const char* s, double lo, double hi, double& out) {
-  if (!std::isdigit(static_cast<unsigned char>(*s)) && *s != '-' && *s != '.')
-    return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || *end != '\0' || !std::isfinite(v) || v < lo || v > hi)
-    return false;
-  out = v;
-  return true;
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();

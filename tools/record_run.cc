@@ -19,8 +19,13 @@
 // columnar sampler and dump it post-run; --sample-ms sets its interval.
 // stderr always reports events processed and events/s, so overhead of the
 // sampler is measurable by diffing two invocations.
+// Numeric values are parsed strictly (flag_parse.h): --rate, --duration and
+// --sample-ms must be positive numbers, --flows a positive integer and
+// --seed an unsigned integer; a malformed or out-of-range value prints the
+// usage and exits 2.
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -28,6 +33,7 @@
 #include "classic/bbr.h"
 #include "classic/cubic.h"
 #include "core/factory.h"
+#include "flag_parse.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
 #include "obs/profiler.h"
@@ -39,6 +45,8 @@ constexpr const char* kUsage =
     "[--rate=MBPS] [--duration=SECS] [--seed=N] [--flows=N] [--meta] "
     "[--profile] [--no-trace] [--telemetry=FILE.jsonl] "
     "[--telemetry-bin=FILE.bin] [--sample-ms=MS]\n";
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -58,25 +66,26 @@ int main(int argc, char** argv) {
   bool trace = true;
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
+    bool ok = true;
     if (a.rfind("--out=", 0) == 0) {
       out_path = std::string(a.substr(6));
     } else if (a.rfind("--cca=", 0) == 0) {
       cca = std::string(a.substr(6));
     } else if (a.rfind("--rate=", 0) == 0) {
-      rate_mbps = std::atof(std::string(a.substr(7)).c_str());
+      ok = parse_real(argv[i] + 7, 0, kInf, rate_mbps) && rate_mbps > 0;
     } else if (a.rfind("--duration=", 0) == 0) {
-      duration_s = std::atof(std::string(a.substr(11)).c_str());
+      ok = parse_real(argv[i] + 11, 0, kInf, duration_s) && duration_s > 0;
     } else if (a.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(std::string(a.substr(7)).c_str()));
+      ok = parse_int<std::uint64_t>(argv[i] + 7, 0, ~std::uint64_t{0}, seed);
     } else if (a.rfind("--flows=", 0) == 0) {
-      n_flows = std::atoi(std::string(a.substr(8)).c_str());
+      ok = parse_int(argv[i] + 8, 1, std::numeric_limits<int>::max(), n_flows);
     } else if (a.rfind("--telemetry=", 0) == 0) {
       telemetry_path = std::string(a.substr(12));
     } else if (a.rfind("--telemetry-bin=", 0) == 0) {
       telemetry_bin_path = std::string(a.substr(16));
     } else if (a.rfind("--sample-ms=", 0) == 0) {
-      sample_ms = std::atof(std::string(a.substr(12)).c_str());
+      // At least the simulator clock's 1 us resolution.
+      ok = parse_real(argv[i] + 12, 1e-3, kInf, sample_ms);
     } else if (a == "--meta") {
       meta = true;
     } else if (a == "--no-trace") {
@@ -87,10 +96,10 @@ int main(int argc, char** argv) {
       std::cerr << kUsage;
       return 2;
     }
-  }
-  if (n_flows < 1) {
-    std::cerr << "error: --flows must be >= 1\n";
-    return 2;
+    if (!ok) {
+      std::cerr << "bad value: " << a << "\n" << kUsage;
+      return 2;
+    }
   }
 
   CcaFactory factory;
