@@ -7,7 +7,7 @@
 #include "bench/common.h"
 
 #include "classic/cubic.h"
-#include "sim/codel_network.h"
+#include "sim/network.h"
 
 int main(int argc, char** argv) {
   libra::benchx::parse_args(argc, argv);
@@ -31,11 +31,12 @@ int main(int argc, char** argv) {
 
   // CUBIC behind CoDel.
   {
-    CodelConfig cfg;
+    LinkConfig cfg;
     cfg.capacity = std::make_shared<ConstantTrace>(mbps(kRate));
     cfg.buffer_bytes = 600'000;
     cfg.propagation_delay = msec(15);
-    CodelNetwork net(cfg);
+    cfg.codel = CodelParams{};
+    Network net(cfg);
     net.add_flow(std::make_unique<Cubic>());
     net.run_until(kHorizon);
     double thr = net.flow(0).throughput_in(sec(2), kHorizon);

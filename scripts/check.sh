@@ -7,6 +7,8 @@
 # benchmark harness's own tests (perfbench/, built in its own tree).
 # `--bench` adds the opt-in benchmark regression leg (scripts/bench_regress.sh
 # against BENCH_seed.json).
+# CI (.github/workflows/ci.yml) runs the --no-sanitizers, --asan-only and
+# --tsan-only legs as three jobs.
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --no-sanitizers | --bench]
 set -euo pipefail
 

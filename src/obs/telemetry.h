@@ -172,12 +172,13 @@ struct TelemetryFlowSample {
   double stage = -1;           // Libra control-cycle stage; -1 for other CCAs
 };
 
-/// Per-queue sampled state (the bottleneck's droptail or CoDel queue).
+/// Per-queue sampled state of a link (droptail or CoDel); filled by
+/// Link::fill_telemetry.
 struct TelemetryQueueSample {
   double depth_bytes = 0;
   double depth_packets = 0;
-  double sojourn_ms = 0;  // head-packet sojourn (CoDel) or drain-time estimate
-  double drops = 0;       // cumulative
+  double sojourn_ms = 0;  // exact sojourn of the head packet; 0 when empty
+  double drops = 0;       // cumulative: overflow, wire, policer and CoDel
 };
 
 /// Exact stage-transition annotation pushed by the Libra core (the sampled

@@ -62,7 +62,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     cfg.policer_start = hop_specs_[h].policer_start;
     cfg.policer_stop = hop_specs_[h].policer_stop;
     cfg.seed = opts_.seed ^ (0xF1EE7u + 0x9E3779B9u * static_cast<std::uint64_t>(h));
-    auto link = std::make_unique<DropTailLink>(*shards_[h].queue, std::move(cfg));
+    auto link = std::make_unique<Link>(*shards_[h].queue, std::move(cfg));
     const int hop = static_cast<int>(h);
     link->set_deliver([this, hop](const Packet& pkt) { on_hop_deliver(hop, pkt); });
     shards_[h].hops.push_back(hop);
@@ -115,7 +115,7 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   auto snd = std::make_unique<Sender>(*shards_[r.sender_shard].queue, cfg,
                                       std::move(def.cca));
 
-  DropTailLink* first = links_[static_cast<std::size_t>(enter)].get();
+  Link* first = links_[static_cast<std::size_t>(enter)].get();
   const std::size_t src = r.sender_shard;
   const std::size_t dst = shard_of_hop(enter);
   const SimDuration access = opts_.access_delay;
@@ -223,7 +223,7 @@ void FleetNetwork::on_hop_deliver(int hop, const Packet& pkt) {
   const Route& r = routes_[static_cast<std::size_t>(pkt.flow_id)];
   const auto h = static_cast<std::size_t>(hop);
   if (hop < r.exit) {
-    DropTailLink* next = links_[h + 1].get();
+    Link* next = links_[h + 1].get();
     post(shard_of_hop(hop), shard_of_hop(hop + 1), hop_specs_[h].to_next_delay,
          [next, pkt] { next->send(pkt); });
   } else {
@@ -311,13 +311,7 @@ void FleetNetwork::telemetry_tick() {
   }
   TelemetryQueueSample qs;
   for (std::size_t h = 0; h < links_.size(); ++h) {
-    const DropTailLink& link = *links_[h];
-    qs.depth_bytes = static_cast<double>(link.queue_bytes());
-    qs.depth_packets = static_cast<double>(link.queue_packets());
-    RateBps rate = link.capacity().rate_at(now);
-    qs.sojourn_ms =
-        rate > 0 ? to_msec(transmission_time(link.queue_bytes(), rate)) : 0.0;
-    qs.drops = static_cast<double>(link.drops_overflow() + link.drops_wire());
+    links_[h]->fill_telemetry(qs, now);
     telemetry_->sample_queue(static_cast<int>(h), qs);
   }
   queues_[0]->schedule_in(telemetry_->config().sample_interval,

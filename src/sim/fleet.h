@@ -2,7 +2,7 @@
 // of bottleneck hops, with a struct-of-arrays hot path and optional sharded
 // event processing.
 //
-// Topology model: a path of `FleetLink` hops (each a DropTailLink with its
+// Topology model: a path of `FleetLink` hops (each a droptail Link with its
 // own buffer, capacity and egress propagation delay). A flow enters at hop
 // `enter_hop`, traverses contiguous hops through `exit_hop`, and its ACKs
 // return over an uncongested path whose delay mirrors the forward
@@ -42,7 +42,7 @@
 // enters hop i % hops): setup() lays the SoA rows out shard-major, one
 // padded block per shard, behind a flow id -> row map; the per-shard key
 // counters sit one per cache line; each shard's EventQueue and each hop's
-// DropTailLink are line-aligned objects; and per-flow measurement reads the
+// Link are line-aligned objects; and per-flow measurement reads the
 // Sender's own counters, so an ACK writes nothing outside its sender.
 #pragma once
 
@@ -188,7 +188,7 @@ class FleetNetwork {
   const Sender& sender(int flow) const {
     return *senders_[static_cast<std::size_t>(flow)];
   }
-  const DropTailLink& hop(int h) const {
+  const Link& hop(int h) const {
     return *links_[static_cast<std::size_t>(h)];
   }
   FleetFlowRef flow(int id) const;
@@ -321,7 +321,7 @@ class FleetNetwork {
   std::vector<FleetLink> hop_specs_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<Shard> shards_;
-  std::vector<std::unique_ptr<DropTailLink>> links_;
+  std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Sender>> senders_;
   std::vector<Route> routes_;
   FleetFlowHot hot_;                // rows in shard-major order (setup())

@@ -8,7 +8,7 @@
 namespace libra {
 
 Network::Network(LinkConfig link_config) {
-  link_ = std::make_unique<DropTailLink>(events_, std::move(link_config));
+  link_ = std::make_unique<Link>(events_, std::move(link_config));
   link_->set_recorder(&recorder_);
   link_->set_deliver([this](const Packet& pkt) {
     deliveries_.add(events_.now(), static_cast<double>(pkt.bytes));
@@ -94,14 +94,7 @@ void Network::telemetry_tick() {
     telemetry_.sample_flow(static_cast<int>(i), fs);
   }
   TelemetryQueueSample qs;
-  qs.depth_bytes = static_cast<double>(link_->queue_bytes());
-  qs.depth_packets = static_cast<double>(link_->queue_packets());
-  // Droptail has no per-packet sojourn state; estimate the head sojourn as
-  // the time to drain the standing queue at the current capacity.
-  RateBps rate = link_->capacity().rate_at(now);
-  qs.sojourn_ms =
-      rate > 0 ? to_msec(transmission_time(link_->queue_bytes(), rate)) : 0.0;
-  qs.drops = static_cast<double>(link_->drops_overflow() + link_->drops_wire());
+  link_->fill_telemetry(qs, now);
   telemetry_.sample_queue(0, qs);
   events_.schedule_in(telemetry_.config().sample_interval,
                       [this] { telemetry_tick(); });

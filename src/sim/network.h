@@ -1,6 +1,8 @@
-// Dumbbell topology: N sender/receiver pairs sharing one droptail bottleneck,
-// with per-flow return-path delay. This is the shape of every experiment in
-// the paper (Pantheon/Mahimahi emulation and the EC2 paths alike).
+// Dumbbell topology: N sender/receiver pairs sharing one bottleneck link
+// (droptail or CoDel, per LinkConfig::codel), with per-flow return-path
+// delay. This is the shape of every experiment in the paper
+// (Pantheon/Mahimahi emulation and the EC2 paths alike) and of the Sec. 2
+// CoDel ablation.
 #pragma once
 
 #include <memory>
@@ -35,7 +37,7 @@ class Network {
 
   EventQueue& events() { return events_; }
   const EventQueue& events() const { return events_; }
-  DropTailLink& link() { return *link_; }
+  Link& link() { return *link_; }
   Flow& flow(int i) { return *flows_.at(static_cast<std::size_t>(i)); }
   const Flow& flow(int i) const { return *flows_.at(static_cast<std::size_t>(i)); }
   int flow_count() const { return static_cast<int>(flows_.size()); }
@@ -78,7 +80,7 @@ class Network {
   FlightRecorder recorder_;
   MetricsRegistry metrics_;
   Telemetry telemetry_;
-  std::unique_ptr<DropTailLink> link_;
+  std::unique_ptr<Link> link_;
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<SimDuration> ack_delays_;
   TimeSeries deliveries_;  // (arrival time at receiver, bytes)

@@ -19,7 +19,7 @@
 //     and the slot pools.
 //
 // The counting wrapper replaces the over-aligned forms too: cache-line
-// aligned types (EventQueue, DropTailLink, the fleet's per-shard counters)
+// aligned types (EventQueue, Link, the fleet's per-shard counters)
 // are allocated through operator new(size_t, align_val_t), which an audit
 // that only replaced the plain forms would never see.
 #include <gtest/gtest.h>

@@ -1,12 +1,13 @@
-// Tests for the CoDel AQM queue and the Compound TCP combined baseline.
+// Tests for the CoDel queue discipline of Link and the Compound TCP combined
+// baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "classic/bbr.h"
 #include "classic/compound.h"
 #include "classic/cubic.h"
-#include "sim/codel_network.h"
 #include "sim/network.h"
 
 namespace libra {
@@ -14,11 +15,12 @@ namespace {
 
 constexpr std::int64_t kMss = kDefaultPacketBytes;
 
-CodelConfig codel_link(RateBps rate = mbps(24)) {
-  CodelConfig cfg;
+LinkConfig codel_link(RateBps rate = mbps(24)) {
+  LinkConfig cfg;
   cfg.capacity = std::make_shared<ConstantTrace>(rate);
   cfg.buffer_bytes = 1'000'000;
   cfg.propagation_delay = msec(15);
+  cfg.codel = CodelParams{};
   return cfg;
 }
 
@@ -26,7 +28,7 @@ TEST(Codel, DeliversBelowTarget) {
   // A paced trickle well under capacity never builds a standing queue; CoDel
   // must not drop anything.
   EventQueue q;
-  CodelQueue link(q, codel_link(mbps(24)));
+  Link link(q, codel_link(mbps(24)));
   int delivered = 0, dropped = 0;
   link.set_deliver([&](const Packet&) { ++delivered; });
   link.set_drop([&](const Packet&) { ++dropped; });
@@ -46,7 +48,7 @@ TEST(Codel, DropsWhenSojournPersistsAboveTarget) {
   // Saturate a slow queue: the standing sojourn exceeds the 5 ms target and
   // CoDel must start shedding.
   EventQueue q;
-  CodelQueue link(q, codel_link(mbps(2)));
+  Link link(q, codel_link(mbps(2)));
   int dropped = 0;
   link.set_drop([&](const Packet&) { ++dropped; });
   link.set_deliver([](const Packet&) {});
@@ -72,21 +74,21 @@ TEST(Codel, MarkModeKeepsTheDropStateScheduleIdentical) {
   constexpr int kPackets = 750;
   constexpr SimTime kLoadEnd = msec(2) * kPackets;
   auto cfg = [] {
-    CodelConfig c = codel_link(mbps(2));
+    LinkConfig c = codel_link(mbps(2));
     c.buffer_bytes = 2'000'000;  // never overflow: all drops are CoDel's
     return c;
   };
 
   EventQueue qd;
-  CodelQueue drop_mode(qd, cfg());
+  Link drop_mode(qd, cfg());
   std::vector<SimTime> drop_times;
   drop_mode.set_deliver([](const Packet&) {});
   drop_mode.set_drop([&](const Packet&) { drop_times.push_back(qd.now()); });
 
   EventQueue qm;
-  CodelConfig mark_cfg = cfg();
-  mark_cfg.ecn_mark = true;
-  CodelQueue mark_mode(qm, mark_cfg);
+  LinkConfig mark_cfg = cfg();
+  mark_cfg.codel->ecn_mark = true;
+  Link mark_mode(qm, mark_cfg);
   std::vector<SimTime> mark_times;
   // A marked delivery left the queue exactly propagation_delay earlier.
   mark_mode.set_deliver([&](const Packet& p) {
@@ -130,9 +132,9 @@ TEST(Codel, NonEctPacketsStillDropInMarkMode) {
   // §4.1 marks only ECT traffic: a non-ECT packet hitting a firing drops
   // exactly as in drop mode.
   EventQueue q;
-  CodelConfig cfg = codel_link(mbps(2));
-  cfg.ecn_mark = true;
-  CodelQueue link(q, cfg);
+  LinkConfig cfg = codel_link(mbps(2));
+  cfg.codel->ecn_mark = true;
+  Link link(q, cfg);
   int dropped = 0;
   link.set_deliver([](const Packet&) {});
   link.set_drop([&](const Packet&) { ++dropped; });
@@ -154,7 +156,7 @@ TEST(Codel, ReentryAfterLongGapRestartsCount) {
   // 16 x interval of not dropping. An episode that starts long after the
   // previous one must restart from count == 1, not reuse the stale count.
   EventQueue q;
-  CodelQueue link(q, codel_link(mbps(2)));
+  Link link(q, codel_link(mbps(2)));
   link.set_deliver([](const Packet&) {});
   link.set_drop([](const Packet&) {});
   std::uint64_t seq = 0;
@@ -190,9 +192,9 @@ TEST(Codel, QuickReentryResumesFasterCadence) {
   // (count - lastcount), so persistent overload escalates across brief
   // below-target dips instead of probing up from scratch every time.
   EventQueue q;
-  CodelConfig cfg = codel_link(mbps(2));
+  LinkConfig cfg = codel_link(mbps(2));
   cfg.buffer_bytes = 30'000;  // small backlog => the queue can drain quickly
-  CodelQueue link(q, std::move(cfg));
+  Link link(q, std::move(cfg));
   link.set_deliver([](const Packet&) {});
   link.set_drop([](const Packet&) {});
   std::uint64_t seq = 0;
@@ -249,7 +251,7 @@ TEST(Compound, ZeroRttAckDoesNotConsumeAdjustmentSlot) {
 TEST(Codel, KeepsCubicDelayLow) {
   // The Sec. 2 claim: CUBIC + CoDel achieves low queueing delay (at the cost
   // of in-network support). Compare against droptail with a deep buffer.
-  CodelNetwork codel(codel_link(mbps(24)));
+  Network codel(codel_link(mbps(24)));
   codel.add_flow(std::make_unique<Cubic>());
   codel.run_until(sec(15));
   double codel_delay = codel.flow(0).mean_rtt_in(sec(5), sec(15));
@@ -268,10 +270,62 @@ TEST(Codel, KeepsCubicDelayLow) {
 }
 
 TEST(Codel, SustainsThroughputWhileDropping) {
-  CodelNetwork net(codel_link(mbps(24)));
+  Network net(codel_link(mbps(24)));
   net.add_flow(std::make_unique<Cubic>());
   net.run_until(sec(15));
   EXPECT_GT(net.flow(0).throughput_in(sec(5), sec(15)), mbps(15));
+}
+
+TEST(Codel, NetworkMatchesParentCodelNetworkExactly) {
+  // The exact values below were recorded with the separate CoDel queue class
+  // and dumbbell engine that Link and Network replaced. That engine acked
+  // after a fixed 15 ms, which equals Network's ack delay only at 15 ms of
+  // propagation. The senders are non-ECT, so mark mode must still drop.
+  LinkConfig cfg = codel_link(mbps(24));
+  cfg.stochastic_loss = 0.001;
+  cfg.seed = 7;
+  cfg.codel->ecn_mark = true;
+  Network net(cfg);
+  for (int i = 0; i < 4; ++i) {
+    std::unique_ptr<CongestionControl> cca;
+    if (i % 2 == 0) {
+      cca = std::make_unique<Cubic>();
+    } else {
+      cca = std::make_unique<Bbr>();
+    }
+    net.add_flow(std::move(cca), msec(100) * i);
+  }
+  net.run_until(sec(20));
+
+  EXPECT_EQ(net.events().processed(), 166550u);
+  EXPECT_EQ(net.link().codel_drops(), 3735);
+  EXPECT_EQ(net.link().codel_marks(), 0);
+  const std::int64_t want[4][3] = {{2752, 2618, 131},
+                                   {12093, 10844, 1191},
+                                   {1836, 1715, 118},
+                                   {27029, 24637, 2327}};
+  for (int i = 0; i < 4; ++i) {
+    const Sender& s = net.flow(i).sender();
+    EXPECT_EQ(s.packets_sent(), want[i][0]) << "flow " << i;
+    EXPECT_EQ(s.packets_acked(), want[i][1]) << "flow " << i;
+    EXPECT_EQ(s.packets_lost(), want[i][2]) << "flow " << i;
+  }
+}
+
+TEST(Codel, RejectsDegenerateSettings) {
+  // A non-positive target or interval breaks the control law (a zero
+  // interval drops far more than the default), and a zero buffer drops every
+  // packet.
+  EventQueue q;
+  LinkConfig no_target = codel_link(mbps(2));
+  no_target.codel->target = 0;
+  EXPECT_THROW(Link(q, no_target), std::invalid_argument);
+  LinkConfig no_interval = codel_link(mbps(2));
+  no_interval.codel->interval = 0;
+  EXPECT_THROW(Link(q, no_interval), std::invalid_argument);
+  LinkConfig no_buffer = codel_link(mbps(2));
+  no_buffer.buffer_bytes = 0;
+  EXPECT_THROW(Link(q, no_buffer), std::invalid_argument);
 }
 
 AckEvent ack_at(SimTime now, std::uint64_t seq, SimDuration rtt = msec(50),

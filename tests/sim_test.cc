@@ -352,9 +352,10 @@ LinkConfig test_link(RateBps rate = mbps(12), std::int64_t buffer = 15000,
   return cfg;
 }
 
+// The DropTailLink suite tests Link with its default droptail discipline.
 TEST(DropTailLink, SerializationPlusPropagation) {
   EventQueue q;
-  DropTailLink link(q, test_link(mbps(12)));
+  Link link(q, test_link(mbps(12)));
   SimTime delivered_at = -1;
   link.set_deliver([&](const Packet&) { delivered_at = q.now(); });
   Packet p;
@@ -367,7 +368,7 @@ TEST(DropTailLink, SerializationPlusPropagation) {
 
 TEST(DropTailLink, QueueingDelaysBackToBack) {
   EventQueue q;
-  DropTailLink link(q, test_link(mbps(12)));
+  Link link(q, test_link(mbps(12)));
   std::vector<SimTime> deliveries;
   link.set_deliver([&](const Packet&) { deliveries.push_back(q.now()); });
   for (int i = 0; i < 3; ++i) {
@@ -386,7 +387,7 @@ TEST(DropTailLink, QueueingDelaysBackToBack) {
 TEST(DropTailLink, TailDropsWhenFull) {
   EventQueue q;
   // Buffer of 3000 bytes = 2 packets.
-  DropTailLink link(q, test_link(mbps(12), 3000));
+  Link link(q, test_link(mbps(12), 3000));
   int drops = 0, delivered = 0;
   link.set_drop([&](const Packet&) { ++drops; });
   link.set_deliver([&](const Packet&) { ++delivered; });
@@ -409,7 +410,7 @@ TEST(DropTailLink, EcnMarksEctPacketsAboveThreshold) {
   // CE-marked; non-ECT packets pass unmarked regardless.
   LinkConfig cfg = test_link(mbps(12), 100'000);
   cfg.ecn_threshold_bytes = 3000;
-  DropTailLink link(q, cfg);
+  Link link(q, cfg);
   std::vector<bool> ce;
   link.set_deliver([&](const Packet& p) { ce.push_back(p.ce_marked); });
   for (int i = 0; i < 6; ++i) {
@@ -430,7 +431,7 @@ TEST(DropTailLink, EcnMarksEctPacketsAboveThreshold) {
 
 TEST(DropTailLink, EcnDisabledNeverMarks) {
   EventQueue q;
-  DropTailLink link(q, test_link(mbps(12), 100'000));  // threshold 0 = off
+  Link link(q, test_link(mbps(12), 100'000));  // threshold 0 = off
   int marked = 0, delivered = 0;
   link.set_deliver([&](const Packet& p) {
     ++delivered;
@@ -455,7 +456,7 @@ TEST(DropTailLink, PolicerPassesBurstThenEnforcesRate) {
   LinkConfig cfg = test_link(mbps(100), 10'000'000);
   cfg.policer_rate = mbps(10);             // 1250 bytes/ms refill
   cfg.policer_burst_bytes = 15'000;        // 10-packet bucket, starts full
-  DropTailLink link(q, cfg);
+  Link link(q, cfg);
   int delivered = 0;
   link.set_deliver([&](const Packet&) { ++delivered; });
   // Instantaneous burst of 20 packets: exactly the 10 in the bucket conform.
@@ -491,7 +492,7 @@ TEST(DropTailLink, PolicerMarksInsteadOfDroppingWhenConfigured) {
   cfg.policer_rate = mbps(10);
   cfg.policer_burst_bytes = 15'000;
   cfg.policer_marks = true;
-  DropTailLink link(q, cfg);
+  Link link(q, cfg);
   int ce = 0, clean = 0;
   link.set_deliver([&](const Packet& p) { p.ce_marked ? ++ce : ++clean; });
   for (int i = 0; i < 20; ++i) {
@@ -516,7 +517,7 @@ TEST(DropTailLink, PolicerActiveWindowGatesEnforcement) {
   cfg.policer_burst_bytes = 1500;  // 1-packet bucket: every burst is clipped
   cfg.policer_start = msec(100);
   cfg.policer_stop = msec(200);
-  DropTailLink link(q, cfg);
+  Link link(q, cfg);
   link.set_deliver([](const Packet&) {});
   auto burst = [&](int n) {
     for (int i = 0; i < n; ++i) {
@@ -537,7 +538,7 @@ TEST(DropTailLink, PolicerActiveWindowGatesEnforcement) {
 
 TEST(DropTailLink, StochasticLossApproximatesRate) {
   EventQueue q;
-  DropTailLink link(q, test_link(mbps(1000), 1 << 30, 0.2));
+  Link link(q, test_link(mbps(1000), 1 << 30, 0.2));
   int drops = 0, delivered = 0;
   link.set_drop([&](const Packet&) { ++drops; });
   link.set_deliver([&](const Packet&) { ++delivered; });
@@ -558,7 +559,7 @@ TEST(DropTailLink, TimeVaryingCapacity) {
       std::vector<PiecewiseTrace::Segment>{{0, mbps(12)}, {msec(100), mbps(1.2)}});
   cfg.buffer_bytes = 1 << 20;
   cfg.propagation_delay = 0;
-  DropTailLink link(q, std::move(cfg));
+  Link link(q, std::move(cfg));
   std::vector<SimTime> deliveries;
   link.set_deliver([&](const Packet&) { deliveries.push_back(q.now()); });
 
@@ -579,7 +580,7 @@ TEST(DropTailLink, TimeVaryingCapacity) {
 TEST(DropTailLink, Validation) {
   EventQueue q;
   LinkConfig cfg;
-  EXPECT_THROW(DropTailLink(q, std::move(cfg)), std::invalid_argument);
+  EXPECT_THROW(Link(q, std::move(cfg)), std::invalid_argument);
 }
 
 TEST(StatsWindow, AttributesBySendTime) {

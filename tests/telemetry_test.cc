@@ -4,6 +4,7 @@
 // and the Libra stage-event integration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,8 @@
 #include "learned/libra_rl.h"
 #include "obs/json_parse.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
+#include "trace/rate_trace.h"
 #include "util/thread_pool.h"
 
 namespace libra {
@@ -126,6 +129,60 @@ TEST(Telemetry, DisabledHooksAreNoOps) {
   EXPECT_EQ(t.queue_count(), 0);
   EXPECT_EQ(t.samples(), 0u);
   EXPECT_TRUE(t.stage_events().empty());
+}
+
+// --- queue samples ----------------------------------------------------------
+
+TEST(Telemetry, SojournTracksTheHeadThroughACapacityOutage) {
+  // A 12 Mbps link goes dark over [1.0 s, 1.5 s) while a full queue stands
+  // still. The head packet's sojourn keeps growing; a drain-time estimate at
+  // the current (zero) rate would read 0 for the whole outage.
+  LinkConfig cfg;
+  cfg.capacity = std::make_shared<PiecewiseTrace>(
+      std::vector<PiecewiseTrace::Segment>{
+          {0, mbps(12)}, {sec(1), 0}, {msec(1500), mbps(12)}});
+  Network net(cfg);
+  net.telemetry().enable({msec(1)});
+  net.add_flow(std::make_unique<Cubic>());
+  net.run_until(sec(2));
+
+  const TelemetrySeries* q = net.telemetry().queue_series(0);
+  ASSERT_NE(q, nullptr);
+  const SimDuration width = net.telemetry().bucket_width();
+  const std::vector<TelemetryBucket>& sojourn = q->column(2);
+  double max_ms = 0;
+  for (std::size_t b = 0; b < sojourn.size(); ++b) {
+    const SimTime t = width * static_cast<SimDuration>(b);
+    if (t >= msec(1200) && t < msec(1500))
+      max_ms = std::max(max_ms, sojourn[b].max);
+  }
+  EXPECT_GE(max_ms, 200.0);
+}
+
+TEST(Telemetry, QueueDropsCountEveryDiscardOfTheLink) {
+  // One CoDel link that loses packets on the wire, at the policer and to
+  // CoDel: the sampled drop count is the sum of all of them.
+  LinkConfig cfg;
+  cfg.capacity = std::make_shared<ConstantTrace>(mbps(24));
+  cfg.buffer_bytes = 1'000'000;
+  cfg.stochastic_loss = 0.0005;
+  cfg.policer_rate = mbps(16);
+  cfg.policer_start = sec(8);
+  cfg.codel = CodelParams{};
+  Network net(cfg);
+  net.add_flow(std::make_unique<Cubic>());
+  net.run_until(sec(10));
+
+  const Link& link = net.link();
+  EXPECT_GT(link.drops_wire(), 0);
+  EXPECT_GT(link.drops_policer(), 0);
+  EXPECT_GT(link.codel_drops(), 0);
+  TelemetryQueueSample qs;
+  link.fill_telemetry(qs, net.events().now());
+  EXPECT_EQ(qs.drops, static_cast<double>(link.drops_overflow() +
+                                          link.drops_wire() +
+                                          link.drops_policer() +
+                                          link.codel_drops()));
 }
 
 // --- zero perturbation ------------------------------------------------------
