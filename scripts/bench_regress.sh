@@ -7,8 +7,8 @@
 #
 # Defaults: LABEL=seed, BASELINE=BENCH_seed.json. Knobs (env):
 #   REPEATS=N        samples per metric (default 5; medians are reported)
-#   TOLERANCE=FRAC   override every per-metric tolerance (e.g. 0.10, or a
-#                    negative value to force failure when testing the harness)
+#   TOLERANCE=FRAC   override every per-metric tolerance (a positive
+#                    fraction, e.g. 0.10)
 #   PROFILE=1        also print the in-process profiler report for the suite
 set -euo pipefail
 

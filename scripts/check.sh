@@ -108,6 +108,23 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     2>/dev/null; then
     echo "telemetry smoke: unknown flag did not exit non-zero" >&2; exit 1
   fi
+  # So must a malformed or negative number, which must not stand in for 0
+  # (flow 0, top 0, stored tolerances) or open a negative window. The
+  # bench_baseline cases must fail before the suite prints its first line.
+  for bad in "trace_summarize --flow=abc $TRACE_DIR/tel.jsonl" \
+    "trace_summarize --warmup=abc $TRACE_DIR/tel.jsonl" \
+    "trace_summarize --warmup=-5 $TRACE_DIR/tel.jsonl" \
+    "report_html --top=abc --out=$TRACE_DIR/bad.html $TRACE_DIR/tel_cols.jsonl" \
+    "bench_baseline --compare=BENCH_seed.json --tolerance=abc" \
+    "bench_baseline --compare=BENCH_seed.json --repeats=abc"; do
+    rc=0
+    # shellcheck disable=SC2086  # each case is a tool and its arguments
+    ./build/tools/$bad > "$TRACE_DIR/bad.out" 2> "$TRACE_DIR/bad.err" || rc=$?
+    [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
+      && grep -q "usage:" "$TRACE_DIR/bad.err" || {
+      echo "telemetry smoke: $bad exited $rc, want usage + exit 2" >&2
+      exit 1; }
+  done
   ./build/tools/report_html --out="$TRACE_DIR/tel.html" \
     "$TRACE_DIR/tel_cols.jsonl"
   # Trivial tag-balance assertion: every <svg> closes and the document closes.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -33,87 +31,6 @@ double request_flow_seconds(const RunRequest& request) {
     total += to_seconds(stop - start);
   }
   return total;
-}
-
-namespace {
-
-// Shared state of one chunked loop. Helpers hold it by shared_ptr: a helper
-// task that only gets scheduled after the loop finished finds no work and
-// exits without touching freed memory.
-struct ChunkLoop {
-  std::function<void(std::size_t)> fn;
-  std::size_t end = 0;
-  std::size_t chunk = 1;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> completed{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::exception_ptr error;
-  std::size_t error_index = static_cast<std::size_t>(-1);
-
-  // Claim-and-run until the cursor passes the end. Exceptions are recorded
-  // (lowest index wins) and the loop keeps going, matching parallel_for's
-  // "drain everything, rethrow first" contract.
-  void drain() {
-    for (;;) {
-      std::size_t i0 = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (i0 >= end) return;
-      std::size_t i1 = std::min(i0 + chunk, end);
-      for (std::size_t i = i0; i < i1; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (i < error_index) {
-            error_index = i;
-            error = std::current_exception();
-          }
-        }
-      }
-      std::size_t done =
-          completed.fetch_add(i1 - i0, std::memory_order_acq_rel) + (i1 - i0);
-      if (done >= end) {
-        std::lock_guard<std::mutex> lock(mu);
-        done_cv.notify_all();
-      }
-    }
-  }
-};
-
-}  // namespace
-
-void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          std::size_t chunk,
-                          const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (chunk == 0) throw std::invalid_argument("parallel_for_chunked: chunk must be > 0");
-
-  auto loop = std::make_shared<ChunkLoop>();
-  loop->fn = [&fn, begin](std::size_t i) { fn(begin + i); };
-  loop->end = end - begin;  // work in [0, end-begin); offset restored in fn
-  loop->chunk = chunk;
-
-  // One helper per worker, capped by the chunk count (fewer chunks than
-  // workers means the extras would find nothing to claim anyway). Futures are
-  // deliberately dropped: if the pool is saturated — e.g. this call is nested
-  // inside a pool task — the helpers may never run, and the caller's own
-  // drain below still finishes the range.
-  std::size_t chunks = (loop->end + chunk - 1) / chunk;
-  std::size_t helpers = std::min(pool.thread_count(), chunks);
-  for (std::size_t h = 1; h < helpers; ++h) pool.submit([loop] { loop->drain(); });
-
-  loop->drain();
-
-  // The cursor is exhausted, but helpers may still be mid-chunk; wait for
-  // every index to complete before touching the error slot or returning
-  // (fn may reference caller stack state).
-  {
-    std::unique_lock<std::mutex> lock(loop->mu);
-    loop->done_cv.wait(lock, [&] {
-      return loop->completed.load(std::memory_order_acquire) >= loop->end;
-    });
-    if (loop->error) std::rethrow_exception(loop->error);
-  }
 }
 
 std::vector<RunSummary> run_many(const std::vector<RunRequest>& requests,

@@ -82,16 +82,6 @@ struct RunManyOptions {
 /// Process-wide pool shared by the batch helpers (created on first use).
 ThreadPool& default_pool();
 
-/// Runs fn(i) for every i in [begin, end), claimed in chunks of `chunk`
-/// indices from a shared atomic cursor (work-stealing style: fast workers
-/// take more chunks). The caller drains chunks too, so the loop makes
-/// progress — and cannot deadlock — even when invoked from inside a pool
-/// task with every worker busy. Every index runs exactly once; the exception
-/// from the lowest-claimed chunk is rethrown after the range drains.
-void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
-                          std::size_t chunk,
-                          const std::function<void(std::size_t)>& fn);
-
 /// Runs every request on `pool` and returns summaries in submission order.
 /// The first exception thrown by any run is rethrown after the batch drains.
 std::vector<RunSummary> run_many(const std::vector<RunRequest>& requests,

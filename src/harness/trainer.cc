@@ -5,7 +5,6 @@
 #include "classic/bbr.h"
 #include "classic/cubic.h"
 #include "core/libra.h"
-#include "harness/parallel.h"
 #include "learned/orca.h"
 #include "learned/rl_cca.h"
 #include "obs/json.h"
@@ -284,12 +283,13 @@ std::vector<EpisodeStats> Trainer::train_parallel(
 
     // Ordered reduction on the main thread: the only writes to the master
     // brain. Episode order is submission order, so the learned weights are
-    // bitwise identical at any thread count.
+    // bitwise identical at any thread count. Each PPO update it triggers
+    // runs its actor and critic passes concurrently on the same pool.
     {
       PROF_SCOPE("train.reduce");
       for (EpisodeJob& job : jobs) {
         brain->normalizer.merge(job.norm_delta);
-        brain->agent.ingest(std::move(job.rollout));
+        brain->agent.ingest(std::move(job.rollout), &pool);
         emit_episode(done + static_cast<int>(&job - jobs.data()), job.stats);
         curve.push_back(job.stats);
       }

@@ -14,6 +14,9 @@
 //    then reduces transitions and normalizer deltas back into the master
 //    brain in episode order. The reduction is the only place the master brain
 //    mutates, so trained weights are bitwise identical at any thread count.
+//    Every PPO update the reduction triggers runs its actor and critic passes
+//    concurrently on the same pool (PpoAgent::ingest), which changes no bit
+//    of the weights either.
 //
 // Telemetry: set_telemetry() attaches a LineSink; training then streams one
 // JSON object per line — {"ev":"episode",...} per finished episode,

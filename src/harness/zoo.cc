@@ -63,7 +63,8 @@ void CcaZoo::train_all(ThreadPool& pool) {
 void CcaZoo::train_all() { train_all(default_pool()); }
 
 std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
-  std::shared_ptr<RlBrain> brain;
+  PpoConfig ppo;
+  std::size_t frame_dim = 0;
   // Bound factories take the brain as an argument so that train_parallel can
   // rebind each episode to its per-episode collector snapshot.
   BrainBoundFactory train_factory;
@@ -71,31 +72,30 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
 
   if (family == "libra-rl") {
     RlCcaConfig cfg = libra_rl_config();
-    brain = std::make_shared<RlBrain>(make_ppo_config(cfg, config_.seed, hidden),
-                                      feature_frame_size(cfg.features));
+    ppo = make_ppo_config(cfg, config_.seed, hidden);
+    frame_dim = feature_frame_size(cfg.features);
     train_factory = [](const std::shared_ptr<RlBrain>& b) {
       return make_libra_rl(b, /*training=*/true);
     };
   } else if (family == "modified-rl") {
     RlCcaConfig cfg = modified_rl_config();
-    brain = std::make_shared<RlBrain>(make_ppo_config(cfg, config_.seed + 1, hidden),
-                                      feature_frame_size(cfg.features));
+    ppo = make_ppo_config(cfg, config_.seed + 1, hidden);
+    frame_dim = feature_frame_size(cfg.features);
     train_factory = [](const std::shared_ptr<RlBrain>& b) {
       return make_modified_rl(b, /*training=*/true);
     };
   } else if (family == "aurora") {
     RlCcaConfig cfg = aurora_config();
-    brain = std::make_shared<RlBrain>(make_ppo_config(cfg, config_.seed + 2, hidden),
-                                      feature_frame_size(cfg.features));
+    ppo = make_ppo_config(cfg, config_.seed + 2, hidden);
+    frame_dim = feature_frame_size(cfg.features);
     train_factory = [](const std::shared_ptr<RlBrain>& b) {
       return make_aurora(b, /*training=*/true);
     };
   } else if (family == "orca") {
-    PpoConfig ppo;
-    ppo.state_dim = feature_frame_size(orca_state_space()) * 8;
+    frame_dim = feature_frame_size(orca_state_space());
+    ppo.state_dim = frame_dim * 8;
     ppo.hidden = hidden;
     ppo.seed = config_.seed + 3;
-    brain = std::make_shared<RlBrain>(ppo, feature_frame_size(orca_state_space()));
     train_factory = [](const std::shared_ptr<RlBrain>& b) {
       OrcaParams p;
       p.training = true;
@@ -103,6 +103,23 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
     };
   } else {
     throw std::out_of_range("CcaZoo: unknown brain family " + family);
+  }
+  // Every brain of a family starts from the same seeded initial weights.
+  auto make_brain = [&] { return std::make_shared<RlBrain>(ppo, frame_dim); };
+
+  std::string path;
+  if (!config_.brain_dir.empty()) {
+    std::filesystem::create_directories(config_.brain_dir);
+    path = config_.brain_dir + "/" + family + ".brain";
+    // Load into a brain of its own: a truncated or corrupt cache fails part
+    // way through, and the weights it overwrote before failing must not be
+    // what gets retrained.
+    try {
+      std::shared_ptr<RlBrain> cached = make_brain();
+      if (load_brain(*cached, path)) return cached;
+    } catch (const std::exception&) {
+      // Stale (changed architecture) or corrupt cache: retrain below.
+    }
   }
 
   // Aurora trains on its own published environment span (random loss <= 5%);
@@ -112,31 +129,16 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
   ranges.competitors = config_.train_competitors;
   if (family == "aurora") ranges.loss_hi = 0.05;
 
-  auto train = [&] {
-    Trainer trainer(ranges, config_.seed ^ 0x5EED);
-    if (config_.train_telemetry && !config_.brain_dir.empty()) {
-      // Learning curves are artifacts next to the brain they explain.
-      trainer.set_telemetry(StreamLineSink::open_file(
-          config_.brain_dir + "/" + family + ".train.jsonl"));
-    }
-    trainer.train_parallel(train_factory, brain, config_.train_episodes,
-                           default_pool(), config_.rollout_round);
-  };
-
-  if (!config_.brain_dir.empty()) {
-    std::filesystem::create_directories(config_.brain_dir);
-    std::string path = config_.brain_dir + "/" + family + ".brain";
-    try {
-      if (load_brain(*brain, path)) return brain;
-    } catch (const std::exception&) {
-      // Stale cache for a changed architecture: retrain below.
-    }
-    train();
-    save_brain(*brain, path);
-    return brain;
+  std::shared_ptr<RlBrain> brain = make_brain();
+  Trainer trainer(ranges, config_.seed ^ 0x5EED);
+  if (config_.train_telemetry && !config_.brain_dir.empty()) {
+    // Learning curves are artifacts next to the brain they explain.
+    trainer.set_telemetry(StreamLineSink::open_file(
+        config_.brain_dir + "/" + family + ".train.jsonl"));
   }
-
-  train();
+  trainer.train_parallel(train_factory, brain, config_.train_episodes,
+                         default_pool(), config_.rollout_round);
+  if (!path.empty()) save_brain(*brain, path);
   return brain;
 }
 

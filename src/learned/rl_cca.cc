@@ -88,6 +88,9 @@ bool load_brain(RlBrain& brain, const std::string& path) {
   if (!in) return false;
   brain.agent.load(in);
   brain.normalizer.load(in);
+  // save_brain ends the file with a newline. Without it, a file cut inside
+  // its last number would parse, with that number shortened.
+  if (in.get() != '\n') throw std::runtime_error("load_brain: truncated file " + path);
   return true;
 }
 

@@ -126,7 +126,9 @@ class BatchedPolicyEval {
 /// Persists a brain (policy + normalizer) to `path`; parent dir must exist.
 void save_brain(const RlBrain& brain, const std::string& path);
 /// Restores a brain saved by save_brain; returns false if the file is absent.
-/// Throws on dimensionality mismatch (stale cache for a changed config).
+/// Throws on dimensionality mismatch (stale cache for a changed config) and
+/// on a truncated or corrupt file. A throw can leave `brain` partly
+/// overwritten, so load into a brain that can be discarded.
 bool load_brain(RlBrain& brain, const std::string& path);
 
 /// Number of scalars contributed by one frame of the given feature set.

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/profiler.h"
+#include "util/thread_pool.h"
 
 namespace libra {
 
@@ -36,11 +37,11 @@ PpoAgent::PpoAgent(PpoConfig config)
   critic_ws_.configure(*critic_, config_.minibatch);
   advantages_.reserve(config_.horizon + 1);
   returns_.reserve(config_.horizon + 1);
-  order_.reserve(config_.horizon + 1);
+  order_.reserve(static_cast<std::size_t>(std::max(config_.epochs, 0)) *
+                 (config_.horizon + 1));
   mb_action_.resize(config_.minibatch);
   mb_old_logp_.resize(config_.minibatch);
   mb_adv_.resize(config_.minibatch);
-  mb_ret_.resize(config_.minibatch);
 }
 
 double PpoAgent::exploration_stddev() const { return std::exp(log_std_); }
@@ -56,7 +57,7 @@ double PpoAgent::act(const Vector& state) {
     throw std::invalid_argument("PpoAgent::act: state dim mismatch");
 
   double value = critic_->evaluate1(state);
-  if (!config_.collect_only && buffer_.size() >= config_.horizon) update(value);
+  if (!config_.collect_only && buffer_.size() >= config_.horizon) update(value, nullptr);
 
   double mean = actor_->evaluate1(state);
   double action = mean + std::exp(log_std_) * rng_.normal();
@@ -120,19 +121,21 @@ std::vector<PpoTransition> PpoAgent::take_transitions(bool mark_final_done) {
   return out;
 }
 
-void PpoAgent::ingest(std::vector<PpoTransition> batch) {
+void PpoAgent::ingest(std::vector<PpoTransition> batch, ThreadPool* pool) {
   for (PpoTransition& t : batch) {
     // Bootstrap from the incoming transition's recorded value: V(s_next) under
     // the policy that collected it — the ordered-replay analogue of act()'s
     // "update before acting on the state that overflows the horizon".
-    if (buffer_.size() >= config_.horizon) update(t.value);
+    if (buffer_.size() >= config_.horizon) update(t.value, pool);
     buffer_.push_back(std::move(t));
   }
 }
 
-void PpoAgent::flush_update(double bootstrap_value) { update(bootstrap_value); }
+void PpoAgent::flush_update(double bootstrap_value, ThreadPool* pool) {
+  update(bootstrap_value, pool);
+}
 
-void PpoAgent::update(double bootstrap_value) {
+void PpoAgent::update(double bootstrap_value, ThreadPool* pool) {
   PROF_SCOPE("ppo.update");
   const std::size_t n = buffer_.size();
   if (n == 0) return;
@@ -164,18 +167,66 @@ void PpoAgent::update(double bootstrap_value) {
     for (double& a : advantages_) a = (a - mean) / sd;
   }
 
-  // Training-dynamics accumulators (observer telemetry). Pure reads of values
-  // the loss/gradient path computes anyway: the weight updates are bit-
+  // Every epoch's shuffle, drawn before either pass runs: row e of order_ is
+  // row e-1 shuffled again, the same rng_ draws in the same order as
+  // reshuffling one index array at the top of each epoch.
+  const std::size_t epochs = static_cast<std::size_t>(std::max(config_.epochs, 0));
+  order_.resize(epochs * n);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    std::size_t* row = order_.data() + e * n;
+    if (e == 0) {
+      std::iota(row, row + n, std::size_t{0});
+    } else {
+      std::copy(row - n, row, row);
+    }
+    std::shuffle(row, row + n, rng_.engine());
+  }
+
+  // The actor and critic passes share no mutable state, so they may run on
+  // two threads; each does the same work in the same order either way.
+  PolicyPassStats policy;
+  double value_loss = 0;
+  auto run_pass = [&](std::size_t pass) {
+    if (pass == 0) {
+      policy = actor_pass(n);
+    } else {
+      value_loss = critic_pass(n);
+    }
+  };
+  if (pool && pool->thread_count() > 1) {
+    parallel_for_chunked(*pool, 0, 2, 1, run_pass);
+  } else {
+    run_pass(0);
+    run_pass(1);
+  }
+
+  buffer_.clear();
+  ++updates_;
+
+  // Training-dynamics statistics (observer telemetry): pure reads of values
+  // the loss/gradient path computes anyway, so the weight updates are bit-
   // identical whether or not anyone listens.
-  double stat_policy_loss = 0, stat_value_loss = 0, stat_kl = 0;
-  std::uint64_t stat_clipped = 0, stat_rows = 0;
+  const std::size_t stat_rows = epochs * n;
+  if (update_observer && stat_rows > 0) {
+    const double rows = static_cast<double>(stat_rows);
+    PpoUpdateStats stats;
+    stats.update = updates_;
+    stats.transitions = n;
+    stats.policy_loss = policy.policy_loss / rows;
+    stats.value_loss = value_loss / rows;
+    stats.clip_fraction = static_cast<double>(policy.clipped) / rows;
+    stats.approx_kl = policy.kl / rows;
+    // Differential entropy of the Gaussian policy: log_std + 0.5*ln(2*pi*e).
+    stats.entropy = log_std_ + kHalfLog2Pi + 0.5;
+    update_observer(stats);
+  }
+}
 
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-
+PpoAgent::PolicyPassStats PpoAgent::actor_pass(std::size_t n) {
+  PolicyPassStats stats;
   const std::size_t dim = config_.state_dim;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    std::shuffle(order_.begin(), order_.end(), rng_.engine());
+    const std::size_t* order = order_.data() + static_cast<std::size_t>(epoch) * n;
     for (std::size_t start = 0; start < n; start += config_.minibatch) {
       const std::size_t end = std::min(start + config_.minibatch, n);
       const std::size_t b = end - start;
@@ -183,25 +234,22 @@ void PpoAgent::update(double bootstrap_value) {
       const double sd_now = std::exp(log_std_);
       double log_std_grad = 0.0;
 
-      // Assemble the minibatch: states as one (b x dim) matrix shared by the
-      // actor and critic passes, scalars into flat arrays.
+      // Assemble the minibatch: states as one (b x dim) matrix, scalars into
+      // flat arrays.
       actor_ws_.set_batch(b);
-      critic_ws_.set_batch(b);
       Vector& states = actor_ws_.input().data();
       for (std::size_t k = start; k < end; ++k) {
-        const PpoTransition& t = buffer_[order_[k]];
+        const PpoTransition& t = buffer_[order[k]];
         const std::size_t row = k - start;
         std::copy(t.state.begin(), t.state.end(), states.begin() +
                   static_cast<std::ptrdiff_t>(row * dim));
         mb_action_[row] = t.action;
         mb_old_logp_[row] = t.log_prob;
-        mb_adv_[row] = advantages_[order_[k]];
-        mb_ret_[row] = returns_[order_[k]];
+        mb_adv_[row] = advantages_[order[k]];
       }
-      critic_ws_.input().data() = states;  // same capacity: plain copy, no alloc
 
-      // Actor: clipped surrogate over the whole minibatch. Gradient flows
-      // only for rows where the unclipped ratio is the active branch.
+      // Clipped surrogate over the whole minibatch. Gradient flows only for
+      // rows where the unclipped ratio is the active branch.
       {
         PROF_SCOPE("ppo.forward");
         actor_->forward_batch(actor_ws_);
@@ -214,9 +262,9 @@ void PpoAgent::update(double bootstrap_value) {
         double ratio = std::exp(logp - mb_old_logp_[row]);
         double clipped = std::clamp(ratio, 1.0 - config_.clip_ratio,
                                     1.0 + config_.clip_ratio);
-        stat_policy_loss -= std::min(ratio * adv, clipped * adv);
-        stat_kl += mb_old_logp_[row] - logp;
-        if (std::abs(ratio - 1.0) > config_.clip_ratio) ++stat_clipped;
+        stats.policy_loss -= std::min(ratio * adv, clipped * adv);
+        stats.kl += mb_old_logp_[row] - logp;
+        if (std::abs(ratio - 1.0) > config_.clip_ratio) ++stats.clipped;
         bool unclipped_active = ratio * adv <= clipped * adv + 1e-12;
         if (unclipped_active) {
           // dL/dlogp = -adv * ratio ; dlogp/dmu = (a - mu)/sd^2
@@ -235,8 +283,36 @@ void PpoAgent::update(double bootstrap_value) {
         PROF_SCOPE("ppo.backward");
         actor_->backward_batch(actor_ws_);
       }
+      {
+        PROF_SCOPE("ppo.adam");
+        actor_opt_->step(1.0 / batch);
+        log_std_ -= log_std_opt_.step(log_std_grad / batch);
+        log_std_ = std::clamp(log_std_, config_.min_log_std, config_.max_log_std);
+      }
+    }
+  }
+  return stats;
+}
 
-      // Critic: 0.5*(V - ret)^2 over the same minibatch.
+double PpoAgent::critic_pass(std::size_t n) {
+  double value_loss = 0;
+  const std::size_t dim = config_.state_dim;
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    const std::size_t* order = order_.data() + static_cast<std::size_t>(epoch) * n;
+    for (std::size_t start = 0; start < n; start += config_.minibatch) {
+      const std::size_t end = std::min(start + config_.minibatch, n);
+      const std::size_t b = end - start;
+      const double batch = static_cast<double>(b);
+
+      critic_ws_.set_batch(b);
+      Vector& states = critic_ws_.input().data();
+      for (std::size_t k = start; k < end; ++k) {
+        const PpoTransition& t = buffer_[order[k]];
+        std::copy(t.state.begin(), t.state.end(), states.begin() +
+                  static_cast<std::ptrdiff_t>((k - start) * dim));
+      }
+
+      // 0.5*(V - ret)^2 over the minibatch.
       {
         PROF_SCOPE("ppo.forward");
         critic_->forward_batch(critic_ws_);
@@ -244,41 +320,20 @@ void PpoAgent::update(double bootstrap_value) {
       const Vector& v = critic_ws_.output().data();
       Vector& dv = critic_ws_.output_grad().data();
       for (std::size_t row = 0; row < b; ++row) {
-        dv[row] = v[row] - mb_ret_[row];
-        stat_value_loss += 0.5 * dv[row] * dv[row];
+        dv[row] = v[row] - returns_[order[start + row]];
+        value_loss += 0.5 * dv[row] * dv[row];
       }
-      stat_rows += b;
       {
         PROF_SCOPE("ppo.backward");
         critic_->backward_batch(critic_ws_);
       }
-
       {
         PROF_SCOPE("ppo.adam");
-        actor_opt_->step(1.0 / batch);
         critic_opt_->step(1.0 / batch);
-        log_std_ -= log_std_opt_.step(log_std_grad / batch);
-        log_std_ = std::clamp(log_std_, config_.min_log_std, config_.max_log_std);
       }
     }
   }
-
-  buffer_.clear();
-  ++updates_;
-
-  if (update_observer && stat_rows > 0) {
-    const double rows = static_cast<double>(stat_rows);
-    PpoUpdateStats stats;
-    stats.update = updates_;
-    stats.transitions = n;
-    stats.policy_loss = stat_policy_loss / rows;
-    stats.value_loss = stat_value_loss / rows;
-    stats.clip_fraction = static_cast<double>(stat_clipped) / rows;
-    stats.approx_kl = stat_kl / rows;
-    // Differential entropy of the Gaussian policy: log_std + 0.5*ln(2*pi*e).
-    stats.entropy = log_std_ + kHalfLog2Pi + 0.5;
-    update_observer(stats);
-  }
+  return value_loss;
 }
 
 void PpoAgent::save(std::ostream& out) const {

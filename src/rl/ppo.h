@@ -9,6 +9,16 @@
 // rest. Rollout collection can be decoupled from learning (collect_only +
 // take_transitions/ingest), which is what lets the trainer fan episodes out
 // across threads and reduce them back deterministically.
+//
+// An update is two independent passes over the same rollout: the actor pass
+// (policy forward, clipped-surrogate gradient, backward, actor and log-std
+// Adam steps) and the critic pass (value forward, gradient, backward, critic
+// Adam step). They share no parameter, optimizer, workspace or minibatch
+// array, and read the same per-epoch shuffles, which are drawn up front. Each
+// pass does exactly the floating-point work of the interleaved loop, in the
+// same order, so running them concurrently on a pool (ingest/flush_update
+// with a pool of two or more threads) gives bitwise the same weights as
+// running them one after the other.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +33,8 @@
 #include "util/rng.h"
 
 namespace libra {
+
+class ThreadPool;
 
 struct PpoConfig {
   std::size_t state_dim = 0;                 // required
@@ -118,11 +130,16 @@ class PpoAgent {
   /// policy update whenever the buffer reaches the horizon (bootstrapping
   /// from the incoming transition's recorded value). Ordered ingestion is
   /// what makes parallel rollout collection bitwise thread-count invariant.
-  void ingest(std::vector<PpoTransition> batch);
+  /// With a `pool` of two or more threads each update runs its actor and
+  /// critic passes concurrently (the calling thread takes part, so a busy
+  /// pool only costs the concurrency); the weights are bitwise the same as
+  /// without one.
+  void ingest(std::vector<PpoTransition> batch, ThreadPool* pool = nullptr);
 
   /// Forces a policy update on whatever the buffer holds (test/bench hook:
-  /// lets callers time or allocation-check update() in isolation).
-  void flush_update(double bootstrap_value);
+  /// lets callers time or allocation-check update() in isolation). `pool`
+  /// as for ingest().
+  void flush_update(double bootstrap_value, ThreadPool* pool = nullptr);
 
   int update_count() const { return updates_; }
   double exploration_stddev() const;
@@ -143,7 +160,18 @@ class PpoAgent {
   std::function<void(const PpoUpdateStats&)> update_observer;
 
  private:
-  void update(double bootstrap_value);
+  /// What the actor pass accumulates for PpoUpdateStats (sums over rows).
+  struct PolicyPassStats {
+    double policy_loss = 0, kl = 0;
+    std::uint64_t clipped = 0;
+  };
+
+  void update(double bootstrap_value, ThreadPool* pool);
+  /// The two halves of update(), over the n buffered transitions and the
+  /// shuffles in order_. They touch disjoint members, so they may run
+  /// concurrently; critic_pass returns the summed value loss.
+  PolicyPassStats actor_pass(std::size_t n);
+  double critic_pass(std::size_t n);
   double log_prob(double action, double mean) const;
 
   PpoConfig config_;
@@ -160,12 +188,14 @@ class PpoAgent {
   int updates_ = 0;
 
   // Preallocated update() workspaces: sized at construction from (horizon,
-  // minibatch, state_dim, hidden), so update() allocates nothing per
-  // minibatch. See the alloc-counting test.
+  // minibatch, state_dim, hidden, epochs), so update() allocates nothing per
+  // minibatch. See the alloc-counting test. order_ holds every epoch's
+  // shuffle of the rollout (epochs x n, row-major); the actor pass owns
+  // actor_ws_ and the mb_* arrays, the critic pass owns critic_ws_.
   MlpWorkspace actor_ws_, critic_ws_;
   Vector advantages_, returns_;
   std::vector<std::size_t> order_;
-  Vector mb_action_, mb_old_logp_, mb_adv_, mb_ret_;
+  Vector mb_action_, mb_old_logp_, mb_adv_;
 };
 
 }  // namespace libra

@@ -1,16 +1,23 @@
-// Fixed-size worker pool for fan-out of independent simulations.
+// Fixed-size worker pool for fan-out of independent work, plus the chunked
+// fork-join loop every caller in the repo uses on it.
 //
 // Each experiment (seed x scenario x CCA) owns its Network and EventQueue, so
-// parallelism is always per-run, never intra-run: submitting N runs to the
-// pool preserves bitwise determinism while using every core. `submit` returns
-// a std::future (exceptions propagate through it); `parallel_for` blocks
-// until a whole index range has been processed.
+// simulations parallelize per run, never inside one: submitting N runs to the
+// pool preserves bitwise determinism while using every core. The one
+// intra-task fan-out is the PPO update's actor and critic passes, which share
+// no mutable state. `submit` returns a std::future (exceptions propagate
+// through it); `parallel_for` and `parallel_for_chunked` block until a whole
+// index range has been processed.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <stdexcept>
@@ -119,5 +126,91 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+namespace detail {
+
+// Shared state of one chunked loop. Helpers hold it by shared_ptr: a helper
+// task that only gets scheduled after the loop finished finds no work and
+// exits without touching freed memory.
+struct ChunkLoop {
+  std::function<void(std::size_t)> fn;
+  std::size_t end = 0;
+  std::size_t chunk = 1;
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<std::size_t> completed{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  std::exception_ptr error;
+  std::size_t error_index = static_cast<std::size_t>(-1);
+
+  // Claim-and-run until the cursor passes the end. Exceptions are recorded
+  // (lowest index wins) and the loop keeps going, matching parallel_for's
+  // "drain everything, rethrow first" contract.
+  void drain() {
+    for (;;) {
+      std::size_t i0 = cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (i0 >= end) return;
+      std::size_t i1 = std::min(i0 + chunk, end);
+      for (std::size_t i = i0; i < i1; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+        }
+      }
+      std::size_t done =
+          completed.fetch_add(i1 - i0, std::memory_order_acq_rel) + (i1 - i0);
+      if (done >= end) {
+        std::lock_guard<std::mutex> lock(mu);
+        done_cv.notify_all();
+      }
+    }
+  }
+};
+
+}  // namespace detail
+
+/// Runs fn(i) for every i in [begin, end), claimed in chunks of `chunk`
+/// indices from a shared atomic cursor (work-stealing style: fast workers
+/// take more chunks). The caller drains chunks too, so the loop makes
+/// progress — and cannot deadlock — even when invoked from inside a pool
+/// task with every worker busy. Every index runs exactly once; the exception
+/// from the lowest-claimed chunk is rethrown after the range drains, so `fn`
+/// may reference the caller's stack.
+inline void parallel_for_chunked(ThreadPool& pool, std::size_t begin,
+                                 std::size_t end, std::size_t chunk,
+                                 const std::function<void(std::size_t)>& fn) {
+  if (begin >= end) return;
+  if (chunk == 0) throw std::invalid_argument("parallel_for_chunked: chunk must be > 0");
+
+  auto loop = std::make_shared<detail::ChunkLoop>();
+  loop->fn = [&fn, begin](std::size_t i) { fn(begin + i); };
+  loop->end = end - begin;  // work in [0, end-begin); offset restored in fn
+  loop->chunk = chunk;
+
+  // One helper per worker, capped by the chunk count (fewer chunks than
+  // workers means the extras would find nothing to claim anyway). Futures are
+  // deliberately dropped: if the pool is saturated — e.g. this call is nested
+  // inside a pool task — the helpers may never run, and the caller's own
+  // drain below still finishes the range.
+  std::size_t chunks = (loop->end + chunk - 1) / chunk;
+  std::size_t helpers = std::min(pool.thread_count(), chunks);
+  for (std::size_t h = 1; h < helpers; ++h) pool.submit([loop] { loop->drain(); });
+
+  loop->drain();
+
+  // The cursor is exhausted, but helpers may still be mid-chunk; wait for
+  // every index to complete before touching the error slot or returning
+  // (fn may reference caller stack state).
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->done_cv.wait(lock, [&] {
+    return loop->completed.load(std::memory_order_acquire) >= loop->end;
+  });
+  if (loop->error) std::rethrow_exception(loop->error);
+}
 
 }  // namespace libra

@@ -2,7 +2,8 @@
 // new with a counting wrapper:
 //   - PPO training path: after the first (warm-up) update, Ppo::update must
 //     perform zero heap allocations — every workspace is sized at
-//     construction;
+//     construction; a pooled update allocates only its fork-join's fixed
+//     bookkeeping, the same at any horizon;
 //   - profiler spans: a disabled PROF_SCOPE allocates nothing (the zero-cost
 //     hot-path claim), and an enabled span over an already-seen tree path
 //     allocates nothing either (steady-state profiling doesn't perturb the
@@ -40,6 +41,7 @@
 #include "rl/simd.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 std::atomic<bool> g_counting{false};
@@ -155,6 +157,40 @@ TEST(PpoAllocation, UpdateIsAllocationFreeOnBothKernelPaths) {
         << " kernel path";
   }
   simd::force(before);
+}
+
+// Allocations of one pooled update (after a pooled warm-up) at `horizon`,
+// on a fresh two-thread pool so that every call sees the same queue state.
+std::size_t pooled_update_allocations(std::size_t horizon) {
+  PpoConfig cfg;
+  cfg.state_dim = 8;
+  cfg.hidden = {32, 32};
+  cfg.horizon = horizon;
+  cfg.minibatch = 64;
+  cfg.seed = 3;
+  cfg.collect_only = true;
+  PpoAgent agent(cfg);
+  ThreadPool pool(2);
+  Rng rng(4);
+  fill_buffer(agent, rng);
+  agent.flush_update(0.0, &pool);  // warm-up
+  fill_buffer(agent, rng);
+  g_allocations.store(0);
+  g_counting.store(true);
+  agent.flush_update(0.0, &pool);
+  g_counting.store(false);
+  EXPECT_EQ(agent.update_count(), 2);
+  return g_allocations.load();
+}
+
+TEST(PpoAllocation, PooledUpdateAllocatesOnlyTheForkJoin) {
+  // Running the critic pass on a pool thread costs the fork-join's fixed
+  // bookkeeping (the loop state, one submitted task), the same at any
+  // horizon: nothing per minibatch or per epoch.
+  const std::size_t at_128 = pooled_update_allocations(128);
+  const std::size_t at_512 = pooled_update_allocations(512);
+  EXPECT_EQ(at_128, at_512);
+  EXPECT_LE(at_128, 8u) << "the fork-join grew beyond its fixed bookkeeping";
 }
 
 TEST(SimdDispatchAllocation, DispatchAndKernelsAllocateNothing) {

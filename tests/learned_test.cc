@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "learned/aurora.h"
 #include "learned/indigo.h"
 #include "learned/libra_rl.h"
@@ -252,6 +254,20 @@ TEST(BrainIo, SaveLoadRoundTrip) {
   ASSERT_TRUE(load_brain(*b, path));
   Vector state(make_ppo_config(cfg, 0, {8, 8}).state_dim, 0.1);
   EXPECT_DOUBLE_EQ(a->agent.act_greedy(state), b->agent.act_greedy(state));
+}
+
+TEST(BrainIo, LoadRejectsAFileCutShort) {
+  RlCcaConfig cfg = libra_rl_config();
+  auto a = tiny_brain(cfg, 5);
+  const std::string path = ::testing::TempDir() + "/cut.brain";
+  save_brain(*a, path);
+  // One byte short: every number still parses, only the final newline is
+  // gone, which is what a file cut inside its last number looks like.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+  auto b = tiny_brain(cfg, 6);
+  EXPECT_THROW(load_brain(*b, path), std::runtime_error);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_THROW(load_brain(*b, path), std::runtime_error);
 }
 
 TEST(BrainIo, LoadMissingReturnsFalse) {

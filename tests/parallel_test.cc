@@ -1,11 +1,14 @@
 // Thread pool unit tests and the parallel experiment engine's determinism
 // guarantee: run_many() must be bitwise-identical to serial execution.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "classic/cubic.h"
@@ -410,7 +413,9 @@ TEST(RunMany, MetricsAggregateAcrossWorkers) {
 TEST(TrainParallel, WeightsBitwiseInvariantAcrossThreadCounts) {
   // Round-based collection promises thread-count invariance: every stochastic
   // draw happens serially on the main thread and the reduction is ordered, so
-  // the trained brain must serialize identically at any pool width.
+  // the trained brain must serialize identically at any pool width. A small
+  // horizon makes the reduction run several PPO updates, whose actor and
+  // critic passes then run concurrently on pools of two or more threads.
   TrainEnvRanges ranges;
   ranges.capacity_hi_mbps = 50;
   ranges.episode_length = sec(3);
@@ -420,14 +425,17 @@ TEST(TrainParallel, WeightsBitwiseInvariantAcrossThreadCounts) {
   };
   auto run = [&](std::size_t threads) {
     RlCcaConfig cfg = libra_rl_config();
-    auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 5, {8, 8}),
-                                           feature_frame_size(cfg.features));
+    PpoConfig ppo = make_ppo_config(cfg, 5, {8, 8});
+    ppo.horizon = 24;
+    ppo.minibatch = 8;
+    auto brain = std::make_shared<RlBrain>(ppo, feature_frame_size(cfg.features));
     Trainer trainer(ranges, 77);
     ThreadPool pool(threads);
     auto curve =
         trainer.train_parallel(factory, brain, /*episodes=*/4, pool,
                                /*round_size=*/3);
     EXPECT_EQ(curve.size(), 4u);
+    EXPECT_GE(brain->agent.update_count(), 3) << threads << " threads";
     std::ostringstream out;
     brain->agent.save(out);
     brain->normalizer.save(out);
@@ -480,6 +488,51 @@ TEST(CcaZoo, ParallelTrainingMatchesSerialTraining) {
     parallel_zoo.brain(family)->agent.save(b);
     EXPECT_EQ(a.str(), b.str()) << family;
   }
+}
+
+std::string brain_bytes(const RlBrain& brain) {
+  std::ostringstream out;
+  brain.agent.save(out);
+  brain.normalizer.save(out);
+  return out.str();
+}
+
+TEST(CcaZoo, TruncatedBrainCacheRetrainsFromInitialWeights) {
+  // A cache cut short (an interrupted save, a full disk) fails to load part
+  // way through. The zoo must then train a brain from its initial weights —
+  // not train on whatever the failed load had already overwritten — and
+  // replace the cache with a whole file.
+  namespace fs = std::filesystem;
+  ZooConfig cfg;
+  cfg.train_episodes = 16;  // enough rollouts for PPO updates to move weights
+  cfg.hidden_width = 8;
+  cfg.train_telemetry = false;
+  cfg.brain_dir = "";
+  const std::string fresh = brain_bytes(*CcaZoo(cfg).brain("libra-rl"));
+
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("zoo_truncated_cache_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  cfg.brain_dir = dir.string();
+  const fs::path file = dir / "libra-rl.brain";
+  {
+    CcaZoo writer(cfg);  // no cache yet: trains and writes one
+    ASSERT_TRUE(brain_bytes(*writer.brain("libra-rl")) == fresh);
+  }
+  fs::resize_file(file, fs::file_size(file) / 2);
+
+  // Whole-brain comparisons; EXPECT_TRUE keeps a failure from printing
+  // kilobytes of weights.
+  CcaZoo zoo(cfg);
+  const std::shared_ptr<RlBrain> retrained = zoo.brain("libra-rl");
+  EXPECT_TRUE(brain_bytes(*retrained) == fresh)
+      << "retrained brain differs from a brain trained without a cache";
+
+  RlBrain reloaded(retrained->agent.config(), retrained->normalizer.dim());
+  ASSERT_TRUE(load_brain(reloaded, file.string()));
+  EXPECT_TRUE(brain_bytes(reloaded) == fresh)
+      << "rewritten cache does not load as the retrained brain";
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "rl/adam.h"
 #include "rl/matrix.h"
 #include "rl/mlp.h"
 #include "rl/normalizer.h"
 #include "rl/ppo.h"
+#include "util/thread_pool.h"
 
 namespace libra {
 namespace {
@@ -467,6 +470,75 @@ TEST(Ppo, CollectIngestLearnsTarget) {
   EXPECT_GT(master.update_count(), 0);
   EXPECT_NEAR(master.act_greedy({1.0}), 1.0, 0.35);
   EXPECT_NEAR(master.act_greedy({-1.0}), -1.0, 0.35);
+}
+
+// A pool runs each update's actor and critic passes on two threads. They
+// share no mutable state and each does the serial pass's work in the same
+// order, so the weights, the log-std and every update's statistics must be
+// bitwise those of the serial update, at any pool width.
+TEST(Ppo, PooledUpdateMatchesSerialUpdate) {
+  PpoConfig cfg = small_ppo(3);
+  cfg.horizon = 64;
+  cfg.minibatch = 24;  // 24 + 24 + 16: a short last minibatch
+
+  PpoConfig collect = cfg;
+  collect.seed = 99;
+  collect.collect_only = true;
+  PpoAgent collector(collect);
+  Rng rng(5);
+  for (int i = 0; i < 4 * 64 + 10; ++i) {
+    const Vector state = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                          rng.uniform(-1.0, 1.0)};
+    const double a = collector.act(state);
+    collector.give_reward(-std::abs(a - state[0]), /*done=*/i % 50 == 49);
+  }
+  const std::vector<PpoTransition> rollout = collector.take_transitions();
+
+  struct Run {
+    int updates = 0;
+    double stddev = 0;
+    std::string weights;
+    std::vector<PpoUpdateStats> stats;
+  };
+  auto train = [&](ThreadPool* pool) {
+    Run run;
+    PpoAgent agent(cfg);
+    agent.update_observer = [&run](const PpoUpdateStats& s) {
+      run.stats.push_back(s);
+    };
+    agent.ingest(rollout, pool);      // four full-horizon updates
+    agent.flush_update(0.25, pool);   // and one over the 10-row remainder
+    run.updates = agent.update_count();
+    run.stddev = agent.exploration_stddev();
+    std::ostringstream out;
+    agent.save(out);  // log-std, actor and critic at full precision
+    run.weights = out.str();
+    return run;
+  };
+
+  const Run serial = train(nullptr);
+  ASSERT_EQ(serial.updates, 5);
+  ASSERT_EQ(serial.stats.size(), 5u);
+  ThreadPool two(2), one(1);
+  for (ThreadPool* pool : {&two, &one}) {
+    const Run pooled = train(pool);
+    const std::size_t threads = pool->thread_count();
+    EXPECT_EQ(pooled.updates, serial.updates) << threads;
+    EXPECT_EQ(pooled.stddev, serial.stddev) << threads;
+    EXPECT_TRUE(pooled.weights == serial.weights) << threads << " threads";
+    ASSERT_EQ(pooled.stats.size(), serial.stats.size()) << threads;
+    for (std::size_t i = 0; i < serial.stats.size(); ++i) {
+      const PpoUpdateStats& p = pooled.stats[i];
+      const PpoUpdateStats& s = serial.stats[i];
+      EXPECT_EQ(p.update, s.update) << threads << " " << i;
+      EXPECT_EQ(p.transitions, s.transitions) << threads << " " << i;
+      EXPECT_EQ(p.policy_loss, s.policy_loss) << threads << " " << i;
+      EXPECT_EQ(p.value_loss, s.value_loss) << threads << " " << i;
+      EXPECT_EQ(p.clip_fraction, s.clip_fraction) << threads << " " << i;
+      EXPECT_EQ(p.approx_kl, s.approx_kl) << threads << " " << i;
+      EXPECT_EQ(p.entropy, s.entropy) << threads << " " << i;
+    }
+  }
 }
 
 TEST(Ppo, CollectOnlyNeverUpdates) {

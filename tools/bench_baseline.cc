@@ -10,8 +10,9 @@
 //
 // Each metric carries its own tolerance *in the baseline file*, so the
 // pass/fail contract is versioned with the numbers it applies to;
-// --tolerance=X overrides all of them (useful to prove the harness fails:
-// --tolerance=-0.99 makes any fresh run a regression).
+// --tolerance=X (a positive fraction) overrides all of them. Numeric flags
+// are strict (flag_parse.h): a malformed or out-of-range value prints usage
+// and exits 2 before any metric runs.
 //
 // Schema ("libra-bench-v1"):
 //   {"schema":"libra-bench-v1","label":...,"git_sha":...,
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -35,6 +37,7 @@
 #include "classic/bbr.h"
 #include "classic/cubic.h"
 #include "classic/dctcp.h"
+#include "flag_parse.h"
 #include "harness/fleet_scenario.h"
 #include "harness/parallel.h"
 #include "harness/scenario.h"
@@ -416,9 +419,10 @@ int usage(const char* argv0) {
                "  --record    run the suite and write a libra-bench-v1 baseline\n"
                "  --compare   run the suite and diff against a recorded baseline;\n"
                "              exits 1 if any metric regresses past its tolerance\n"
-               "  --tolerance override every per-metric tolerance (e.g. 0.1;\n"
-               "              negative values force failure, for harness tests)\n"
-               "  --repeats   samples per metric (median reported; default 5)\n"
+               "  --tolerance override every per-metric tolerance with a\n"
+               "              positive fraction (e.g. 0.1)\n"
+               "  --repeats   samples per metric, at least 1 (median reported;\n"
+               "              default 5)\n"
                "  --profile   enable the in-process profiler and print its\n"
                "              report after the suite\n"
                "  --deterministic\n"
@@ -561,14 +565,19 @@ int run(int argc, char** argv) {
     else if (a.rfind("--compare=", 0) == 0) opt.compare_path = std::string(a.substr(10));
     else if (a.rfind("--label=", 0) == 0) opt.label = std::string(a.substr(8));
     else if (a.rfind("--git-sha=", 0) == 0) opt.git_sha = std::string(a.substr(10));
-    else if (a.rfind("--repeats=", 0) == 0) opt.repeats = std::atoi(std::string(a.substr(10)).c_str());
-    else if (a.rfind("--tolerance=", 0) == 0) opt.tolerance_override = std::atof(std::string(a.substr(12)).c_str());
-    else if (a == "--profile") opt.profile = true;
+    else if (a.rfind("--repeats=", 0) == 0) {
+      if (!parse_int(argv[i] + 10, 1, std::numeric_limits<int>::max(), opt.repeats))
+        return usage(argv[0]);
+    } else if (a.rfind("--tolerance=", 0) == 0) {
+      if (!parse_real(argv[i] + 12, 0, std::numeric_limits<double>::infinity(),
+                      opt.tolerance_override) ||
+          opt.tolerance_override <= 0)
+        return usage(argv[0]);
+    } else if (a == "--profile") opt.profile = true;
     else if (a == "--deterministic") opt.deterministic = true;
     else return usage(argv[0]);
   }
   if (opt.record_path.empty() == opt.compare_path.empty()) return usage(argv[0]);
-  if (opt.repeats < 1) opt.repeats = 1;
 
   if (opt.deterministic) simd::force(simd::Isa::kScalar);
   if (opt.profile) Profiler::instance().enable();

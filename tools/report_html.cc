@@ -2,7 +2,10 @@
 // as one self-contained HTML file — inline SVG, inline CSS, no external
 // assets, so the file works from a mail attachment or CI artifact store.
 //
-//   report_html [--out=report.html] [--title=TEXT] RUN.jsonl [RUN2.jsonl...]
+//   report_html [--out=report.html] [--title=TEXT] [--top=N] RUN.jsonl [RUN2.jsonl...]
+//
+// --top takes a non-negative integer (flag_parse.h); anything else prints
+// usage and exits 2.
 //
 // Each input file is one run (e.g. one request of a run_many batch) and gets
 // four lanes: per-flow throughput (from the acked_bytes counter's per-bucket
@@ -25,12 +28,14 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "flag_parse.h"
 #include "obs/json_parse.h"
 
 namespace {
@@ -747,8 +752,12 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--title=", 0) == 0) {
       title = std::string(a.substr(8));
     } else if (a.rfind("--top=", 0) == 0) {
-      int n = std::atoi(std::string(a.substr(6)).c_str());
-      top_flows = n > 0 ? static_cast<std::size_t>(n) : 0;
+      if (!libra::parse_int<std::size_t>(argv[i] + 6, 0,
+                                         std::numeric_limits<int>::max(),
+                                         top_flows)) {
+        std::cerr << "bad value: " << a << "\n" << kUsage;
+        return 2;
+      }
     } else if (a.rfind("--", 0) == 0) {
       std::cerr << kUsage;
       return 2;

@@ -22,18 +22,21 @@
 // --since/--until clip to a sim-time window (seconds).
 //
 // Exits non-zero if any input yields no events (truncated/empty trace) or
-// contains unparseable lines (corrupt/truncated mid-write). Unknown flags
-// exit 2 with the usage text.
+// contains unparseable lines (corrupt/truncated mid-write). Unknown flags and
+// malformed or negative numeric values (flag_parse.h) exit 2 with the usage
+// text.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "flag_parse.h"
 #include "harness/report.h"
 
 namespace {
@@ -440,27 +443,34 @@ int summarize_file(const std::string& path, const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   std::vector<std::string> paths;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
+    bool ok = true;
     if (a.rfind("--warmup=", 0) == 0) {
-      opt.warmup_s = std::atof(std::string(a.substr(9)).c_str());
+      ok = libra::parse_real(argv[i] + 9, 0, kInf, opt.warmup_s);
     } else if (a.rfind("--horizon=", 0) == 0) {
-      opt.horizon_s = std::atof(std::string(a.substr(10)).c_str());
+      ok = libra::parse_real(argv[i] + 10, 0, kInf, opt.horizon_s);
     } else if (a.rfind("--flow=", 0) == 0) {
-      opt.flow = std::atoi(std::string(a.substr(7)).c_str());
+      ok = libra::parse_int(argv[i] + 7, 0, kIntMax, opt.flow);
     } else if (a.rfind("--since=", 0) == 0) {
-      opt.since_s = std::atof(std::string(a.substr(8)).c_str());
+      ok = libra::parse_real(argv[i] + 8, 0, kInf, opt.since_s);
     } else if (a.rfind("--until=", 0) == 0) {
-      opt.until_s = std::atof(std::string(a.substr(8)).c_str());
+      ok = libra::parse_real(argv[i] + 8, 0, kInf, opt.until_s);
     } else if (a.rfind("--event=", 0) == 0) {
       opt.event = std::string(a.substr(8));
     } else if (a.rfind("--top=", 0) == 0) {
-      opt.top = std::atoi(std::string(a.substr(6)).c_str());
+      ok = libra::parse_int(argv[i] + 6, 0, kIntMax, opt.top);
     } else if (a.rfind("--", 0) == 0) {
       std::cerr << kUsage;
       return 2;
     } else {
       paths.emplace_back(a);
+    }
+    if (!ok) {
+      std::cerr << "bad value: " << a << "\n" << kUsage;
+      return 2;
     }
   }
   if (paths.empty()) {
