@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   auto trace = s.make_trace(1);
   for (const std::string& name : ccas) {
     auto net = run_scenario(s, {{zoo().factory(name)}}, 1);
-    series.push_back(net->flow(0).acked_bytes_series().to_rate_bins(sec(1), s.duration));
+    series.push_back(net->flow(0).rate_bins(sec(1), 0, s.duration));
   }
   for (int sec_i = 0; sec_i < 50; ++sec_i) {
     std::vector<std::string> row{std::to_string(sec_i),

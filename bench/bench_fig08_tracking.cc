@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   header("Fig. 8", "tracking a varying LTE capacity (driving profile)");
 
   Scenario s = lte_scenario(LteProfile::kDriving, "lte-driving");
-  s.duration = args.duration_s > 0 ? seconds(args.duration_s) : sec(35);
+  s.duration = args.duration > 0 ? args.duration : sec(35);
   auto trace = s.make_trace(9);
   const int secs = static_cast<int>(s.duration / sec(1));
   const SimDuration warmup = sec(2);
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       obs.trace_path = args.record_prefix + name + ".jsonl";
     }
     auto net = run_scenario(s, {{zoo().factory(name)}}, 9, obs);
-    series.push_back(net->flow(0).acked_bytes_series().to_rate_bins(sec(1), s.duration));
+    series.push_back(net->flow(0).rate_bins(sec(1), 0, s.duration));
     summaries.push_back(summarize(*net, warmup, s.duration));
   }
 

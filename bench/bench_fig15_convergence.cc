@@ -3,7 +3,7 @@
 // the Tab. 5 metrics for the third flow (convergence time to a stable
 // +/-25% band held 5 s, stddev after convergence, mean after convergence).
 //
-// Needs more than a RunSummary (full per-flow time series), so each
+// Needs more than a RunSummary (per-flow rate bins over time), so each
 // RunRequest extracts its figures through the `inspect` hook — run on the
 // worker thread against the completed Network, into a slot only that request
 // touches — letting the per-CCA runs still fan across the pool.
@@ -39,15 +39,10 @@ int main(int argc, char** argv) {
     req.seed = 17;
     ConvFigures* out = &figures[ci];
     req.inspect = [out, &s](const Network& net) {
-      for (int f = 0; f < 3; ++f) {
-        out->bins.push_back(
-            net.flow(f).acked_bytes_series().to_rate_bins(sec(2), s.duration));
-      }
+      for (int f = 0; f < 3; ++f)
+        out->bins.push_back(net.flow(f).rate_bins(sec(2), 0, s.duration));
       // Tab. 5 metrics on the third flow, from its entry at 10 s.
-      TimeSeries shifted;
-      for (auto& pt : net.flow(2).acked_bytes_series().points())
-        shifted.add(pt.time - sec(10), pt.value);
-      auto fine = shifted.to_rate_bins(msec(500), sec(40));
+      auto fine = net.flow(2).rate_bins(msec(500), sec(10), s.duration);
       out->third = analyze_convergence(fine, msec(500));
     };
     reqs.push_back(std::move(req));

@@ -25,10 +25,7 @@ std::vector<double> utility_series(const Flow& flow, SimDuration bin,
                       ? (rtt_now - rtt_prev) / 1e3 / to_seconds(bin)
                       : 0.0;
     if (std::abs(grad) < 0.02) grad = 0.0;
-    double lost = flow.loss_series().sum_in(t, t + bin) / kDefaultPacketBytes;
-    double acked = flow.acked_bytes_series().sum_in(t, t + bin) / kDefaultPacketBytes;
-    double loss_rate = (lost + acked) > 0 ? lost / (lost + acked) : 0.0;
-    out.push_back(utility(up, thr_mbps, grad, loss_rate));
+    out.push_back(utility(up, thr_mbps, grad, flow.loss_rate_in(t, t + bin)));
   }
   return out;
 }

@@ -21,16 +21,18 @@
 #include "harness/zoo.h"
 #include "obs/profiler.h"
 #include "rl/simd.h"
+#include "tools/flag_parse.h"
 
 namespace libra::benchx {
 
 /// Options common to the bench binaries. Parsed by parse_args; unknown flags
-/// warn and are ignored so figure scripts stay forward-compatible.
+/// warn and are ignored so figure scripts stay forward-compatible. Only
+/// bench_fig08_tracking honours --duration and --record.
 struct BenchArgs {
   bool json = false;          // --json[=PATH] or LIBRA_JSON_OUT=PATH
   std::string json_path;      // empty: JSON document goes to stdout at exit
   std::string record_prefix;  // --record=PREFIX → stream per-run JSONL traces
-  double duration_s = 0;      // --duration=SECS run-length override (0: default)
+  SimDuration duration = 0;   // --duration=SECS run-length override (0: default)
   bool profile = false;       // --profile → in-process profiler report at exit
 };
 
@@ -59,6 +61,8 @@ inline void apply_json_env() {
 }
 
 /// Parses bench CLI flags (and the LIBRA_JSON_OUT environment variable).
+/// --duration must be a positive number of seconds on the 10 ms measurement
+/// grid; a bad value prints usage to stderr and exits 2 before any output.
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -71,7 +75,12 @@ inline BenchArgs parse_args(int argc, char** argv) {
     } else if (a.rfind("--record=", 0) == 0) {
       args.record_prefix = std::string(a.substr(9));
     } else if (a.rfind("--duration=", 0) == 0) {
-      args.duration_s = std::atof(std::string(a.substr(11)).c_str());
+      if (!parse_duration(argv[i] + 11, kWindowGrid, args.duration)) {
+        std::cerr << "bad value: " << a << "\nusage: " << argv[0]
+                  << " [--json[=PATH]] [--record=PREFIX] [--duration=SECS] [--profile]\n"
+                     "  --duration  positive seconds on the 10 ms grid\n";
+        std::exit(2);
+      }
     } else if (a == "--profile") {
       args.profile = true;
     } else {

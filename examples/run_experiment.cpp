@@ -4,6 +4,8 @@
 //
 //   scenario: wired24|wired48|wired96|lte-stationary|lte-walking|lte-driving|
 //             step|wan-inter|wan-intra|satellite|5g          (default wired48)
+//   seconds:  positive, on the 10 ms measurement grid; a bad value prints
+//             usage and exits 2
 //   default CCAs: cubic bbr c-libra
 //
 // Example:
@@ -16,8 +18,11 @@
 #include "harness/runner.h"
 #include "harness/scenario.h"
 #include "harness/zoo.h"
+#include "tools/flag_parse.h"
 
 namespace {
+
+constexpr const char* kUsage = "usage: run_experiment [scenario] [seconds] [seed] [cca ...]\n";
 
 libra::Scenario scenario_by_name(const std::string& name) {
   using namespace libra;
@@ -43,14 +48,16 @@ int main(int argc, char** argv) {
   try {
     std::string scenario_name = argc > 1 ? argv[1] : "wired48";
     if (scenario_name == "-h" || scenario_name == "--help") {
-      std::cout << "usage: run_experiment [scenario] [seconds] [seed] [cca ...]\n"
-                   "known CCAs:";
+      std::cout << kUsage << "known CCAs:";
       for (const auto& n : CcaZoo::all_names()) std::cout << ' ' << n;
       std::cout << "\n";
       return 0;
     }
     Scenario s = scenario_by_name(scenario_name);
-    if (argc > 2) s.duration = seconds(std::stod(argv[2]));
+    if (argc > 2 && !parse_duration(argv[2], kWindowGrid, s.duration)) {
+      std::cerr << "bad seconds: " << argv[2] << "\n" << kUsage;
+      return 2;
+    }
     std::uint64_t seed = argc > 3 ? std::stoull(argv[3]) : 1;
     std::vector<std::string> ccas;
     for (int i = 4; i < argc; ++i) ccas.emplace_back(argv[i]);

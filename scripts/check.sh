@@ -40,22 +40,40 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   (cd build && LIBRA_SIMD=off ctest --output-on-failure -j "$JOBS")
 
   echo "== trace round-trip: record a run, summarize it offline =="
-  # The recorded per-ACK stream must reproduce the run's own summary; a
-  # truncated or empty trace makes trace_summarize exit non-zero.
+  # The recorded per-ACK stream must reproduce the run's own summary: for
+  # every flow, record_run's throughput, mean RTT and loss rate over
+  # [1 s, 2 s) (read off its 10 ms window rows) must equal trace_summarize's
+  # row at the table's precision. --horizon=2 pins the trace's window to the
+  # run's end (by default it ends at the last traced event). A truncated or
+  # empty trace makes trace_summarize exit non-zero.
   TRACE_DIR="$(mktemp -d)"
   trap 'rm -rf "$TRACE_DIR"' EXIT
   ./build/tools/record_run --out="$TRACE_DIR/smoke.jsonl" --duration=2 \
-    > "$TRACE_DIR/summary.json"
-  SUMMARY="$(./build/tools/trace_summarize --warmup=1 "$TRACE_DIR/smoke.jsonl")"
-  echo "$SUMMARY" | grep -q "rtt p99" || {
-    echo "trace round-trip: missing percentile table" >&2; exit 1; }
-  echo "$SUMMARY" | grep -q "total: throughput" || {
+    --flows=2 > "$TRACE_DIR/summary.json"
+  ./build/tools/trace_summarize --warmup=1 --horizon=2 \
+    "$TRACE_DIR/smoke.jsonl" > "$TRACE_DIR/smoke.txt"
+  grep -q "total: throughput" "$TRACE_DIR/smoke.txt" || {
     echo "trace round-trip: missing totals line" >&2; exit 1; }
-  grep -q '"link_utilization"' "$TRACE_DIR/summary.json" || {
-    echo "trace round-trip: record_run emitted no JSON summary" >&2; exit 1; }
-  # A malformed or non-positive value must print usage and exit 2 — not
-  # abort, run a degenerate scenario or sample every microsecond.
-  for bad in --rate=abc --duration=-1 --flows=2x \
+  python3 - "$TRACE_DIR/summary.json" "$TRACE_DIR/smoke.txt" <<'PY' || {
+import json, sys
+flows = json.load(open(sys.argv[1]))["flows"]
+lines = open(sys.argv[2]).read().splitlines()
+head = next(i for i, l in enumerate(lines) if l.startswith("flow  sends"))
+rows = []
+for line in lines[head + 2:]:
+    if not line.strip():
+        break
+    c = line.split()  # flow sends acks losses thr p50 p90 p99 mean loss
+    rows.append((c[0], c[4], c[8], c[9]))
+want = [(str(i), "%.2f" % (f["throughput_bps"] / 1e6), "%.1f" % f["avg_rtt_ms"],
+         "%.2f%%" % (100 * f["loss_rate"])) for i, f in enumerate(flows)]
+if len(want) != 2 or rows != want:
+    sys.exit("record_run %s != trace_summarize %s" % (want, rows))
+PY
+    echo "trace round-trip: summary and trace disagree" >&2; exit 1; }
+  # A malformed, non-positive or off-grid value must print usage and exit 2
+  # — not abort, run a degenerate scenario or sample every microsecond.
+  for bad in --rate=abc --duration=-1 --duration=2.005 --flows=2x \
     "--sample-ms=abc --telemetry=$TRACE_DIR/bad_tel.jsonl"; do
     rc=0
     # shellcheck disable=SC2086  # the last case is two flags
@@ -64,6 +82,16 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
       && grep -q "usage:" "$TRACE_DIR/bad.err" || {
       echo "trace round-trip: record_run $bad exited $rc, want usage + exit 2" >&2
+      exit 1; }
+  done
+  # The bench binaries parse --duration the same way.
+  for bad in abc -1 2.005; do
+    rc=0
+    ./build/bench/bench_fig08_tracking --duration="$bad" \
+      > "$TRACE_DIR/bad.out" 2> "$TRACE_DIR/bad.err" || rc=$?
+    [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
+      && grep -q "usage:" "$TRACE_DIR/bad.err" || {
+      echo "trace round-trip: bench_fig08_tracking --duration=$bad exited $rc, want usage + exit 2" >&2
       exit 1; }
   done
   echo "trace round-trip: ok"

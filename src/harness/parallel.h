@@ -37,8 +37,8 @@ struct RunRequest {
 
   /// When set, invoked with the completed Network (on the worker thread,
   /// after summarize, before the network is destroyed). The escape hatch for
-  /// experiments that need more than a RunSummary — e.g. per-flow time
-  /// series. Must only touch state owned by this request.
+  /// experiments that need more than a RunSummary — e.g. per-flow rate bins
+  /// over time. Must only touch state owned by this request.
   std::function<void(const Network&)> inspect;
 
   /// Single-flow convenience, mirroring run_single's signature.

@@ -18,6 +18,8 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
                                       const std::vector<FlowSpec>& flows,
                                       std::uint64_t seed, const ObsOptions& obs) {
   if (flows.empty()) throw std::invalid_argument("run_scenario: no flows");
+  if (scenario.duration % kWindowGrid != 0)
+    throw std::invalid_argument("run_scenario: duration off the 10 ms measurement grid");
   auto net = std::make_unique<Network>(scenario.link_config(seed));
   if (obs.record) {
     net->recorder().enable(obs.ring_capacity);
@@ -85,25 +87,22 @@ RunSummary summarize(const Network& net, SimTime warmup, SimTime horizon) {
   sum.link_utilization = net.link_utilization(warmup, horizon);
   sum.wall_time_s = net.wall_time_s();
   sum.sim_time_s = to_seconds(net.events().now());
-  double rtt_weighted = 0;
-  std::int64_t rtt_samples = 0;
+  std::int64_t rtt_sum_us = 0;
+  std::int64_t acks = 0;
   for (int i = 0; i < net.flow_count(); ++i) {
     const Flow& f = net.flow(i);
     FlowSummary fs;
     fs.throughput_bps = f.throughput_in(warmup, horizon);
     fs.avg_rtt_ms = f.mean_rtt_in(warmup, horizon);
-    // Loss rate over the window: lost packets / (acked + lost) within it.
-    double lost = f.loss_series().sum_in(warmup, horizon) / kDefaultPacketBytes;
-    double acked = f.acked_bytes_series().sum_in(warmup, horizon) / kDefaultPacketBytes;
-    fs.loss_rate = (lost + acked) > 0 ? lost / (lost + acked) : 0.0;
+    fs.loss_rate = f.loss_rate_in(warmup, horizon);
     sum.total_throughput_bps += fs.throughput_bps;
-
-    std::int64_t n = static_cast<std::int64_t>(acked);
-    rtt_weighted += fs.avg_rtt_ms * static_cast<double>(n);
-    rtt_samples += n;
+    const FlowCounts c = f.counts_in(warmup, horizon);
+    rtt_sum_us += c.rtt_sum_us;
+    acks += c.acks;
     sum.flows.push_back(fs);
   }
-  sum.avg_delay_ms = rtt_samples > 0 ? rtt_weighted / static_cast<double>(rtt_samples) : 0;
+  sum.avg_delay_ms =
+      acks > 0 ? static_cast<double>(rtt_sum_us) / (1e3 * static_cast<double>(acks)) : 0;
   return sum;
 }
 

@@ -68,8 +68,10 @@ struct ObsOptions {
   TelemetryOptions telemetry;
 };
 
-/// Builds the network and runs it to `scenario.duration`. The returned
-/// Network owns the flows and all their time series.
+/// Builds the network and runs it to `scenario.duration`, which must be a
+/// multiple of the measurement grid (kWindowGrid; std::invalid_argument
+/// otherwise, before anything runs). The returned Network owns the flows and
+/// their per-window counts.
 std::unique_ptr<Network> run_scenario(const Scenario& scenario,
                                       const std::vector<FlowSpec>& flows,
                                       std::uint64_t seed);
@@ -80,7 +82,8 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
                                       const std::vector<FlowSpec>& flows,
                                       std::uint64_t seed, const ObsOptions& obs);
 
-/// Metrics over [warmup, horizon) of an already-run network.
+/// Metrics over [warmup, horizon) of an already-run network; both bounds on
+/// the measurement grid.
 RunSummary summarize(const Network& net, SimTime warmup, SimTime horizon);
 
 /// Convenience: single flow, full duration, default 2 s warmup.

@@ -160,8 +160,7 @@ class TelemetrySeries {
   mutable std::vector<std::vector<TelemetryBucket>> cols_;
 };
 
-/// Per-flow sampled state; the Sender fills the sender-owned fields
-/// (Sender::fill_telemetry) and the network adds flow-level counters.
+/// Per-flow sampled state, filled by Sender::fill_telemetry.
 struct TelemetryFlowSample {
   double cwnd_bytes = 0;
   double pacing_rate_bps = 0;  // effective (pacer) rate, not just the CCA's

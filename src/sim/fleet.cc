@@ -306,7 +306,6 @@ void FleetNetwork::telemetry_tick() {
   TelemetryFlowSample fs;
   for (std::size_t i = 0; i < senders_.size(); ++i) {
     senders_[i]->fill_telemetry(fs);
-    fs.acked_bytes = static_cast<double>(senders_[i]->delivered_bytes());
     telemetry_->sample_flow(static_cast<int>(i), fs);
   }
   TelemetryQueueSample qs;

@@ -11,7 +11,7 @@ Network::Network(LinkConfig link_config) {
   link_ = std::make_unique<Link>(events_, std::move(link_config));
   link_->set_recorder(&recorder_);
   link_->set_deliver([this](const Packet& pkt) {
-    deliveries_.add(events_.now(), static_cast<double>(pkt.bytes));
+    delivered_.at(events_.now()) += pkt.bytes;
     auto idx = static_cast<std::size_t>(pkt.flow_id);
     if (idx >= flows_.size()) return;
     // Receiver immediately acks; the ACK crosses the (uncongested) return
@@ -90,7 +90,6 @@ void Network::telemetry_tick() {
   TelemetryFlowSample fs;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     flows_[i]->sender().fill_telemetry(fs);
-    fs.acked_bytes = static_cast<double>(flows_[i]->metrics().bytes_acked);
     telemetry_.sample_flow(static_cast<int>(i), fs);
   }
   TelemetryQueueSample qs;
@@ -116,7 +115,10 @@ void Network::run_until(SimTime t) {
 
 double Network::link_utilization(SimTime t0, SimTime t1) const {
   if (t1 <= t0) return 0.0;
-  double delivered_bits = deliveries_.sum_in(t0, t1) * 8.0;
+  const auto [first, last] = delivered_.span(t0, t1);
+  std::int64_t delivered_bytes = 0;
+  for (std::size_t k = first; k < last; ++k) delivered_bytes += delivered_[k];
+  double delivered_bits = static_cast<double>(delivered_bytes) * 8.0;
   double capacity_bits = link_->capacity().average_rate(t0, t1) * to_seconds(t1 - t0);
   if (capacity_bits <= 0) return 0.0;
   return std::min(1.0, delivered_bits / capacity_bits);

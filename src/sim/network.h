@@ -42,12 +42,9 @@ class Network {
   const Flow& flow(int i) const { return *flows_.at(static_cast<std::size_t>(i)); }
   int flow_count() const { return static_cast<int>(flows_.size()); }
 
-  /// Aggregate bytes delivered to receivers in [t0, t1).
-  double delivered_bytes_in(SimTime t0, SimTime t1) const {
-    return deliveries_.sum_in(t0, t1);
-  }
-
-  /// Fraction of the bottleneck capacity actually used over [t0, t1).
+  /// Fraction of the bottleneck capacity actually used over [t0, t1), from
+  /// the bytes delivered to receivers. Both bounds must sit on the
+  /// measurement grid (kWindowGrid); otherwise std::invalid_argument.
   double link_utilization(SimTime t0, SimTime t1) const;
 
   /// Per-run flight recorder. Disabled (and free) by default; enable it via
@@ -83,7 +80,7 @@ class Network {
   std::unique_ptr<Link> link_;
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<SimDuration> ack_delays_;
-  TimeSeries deliveries_;  // (arrival time at receiver, bytes)
+  GridRows<std::int64_t> delivered_;  // bytes delivered to receivers per grid row
   double wall_time_s_ = 0;
   bool started_ = false;
   bool metrics_finalized_ = false;

@@ -83,6 +83,7 @@ void Sender::fill_telemetry(TelemetryFlowSample& sample) const {
   sample.pacing_rate_bps = effective_pacing_rate();
   sample.srtt_ms = to_msec(srtt_);
   sample.inflight_bytes = static_cast<double>(bytes_in_flight_);
+  sample.acked_bytes = static_cast<double>(delivered_bytes_);
   sample.lost_packets = static_cast<double>(packets_lost_);
   sample.stage = static_cast<double>(cca_->telemetry_stage());
 }

@@ -73,8 +73,9 @@ class Sender {
 
   /// Fills the sender-owned fields of a telemetry sample: cwnd, the
   /// *effective* pacing rate (what the pacer actually enforces, including the
-  /// cwnd/SRTT-derived rate for window-driven CCAs), SRTT, inflight, losses,
-  /// and the CCA's control stage. Read-only: sampling cannot perturb the run.
+  /// cwnd/SRTT-derived rate for window-driven CCAs), SRTT, inflight, acked
+  /// bytes, losses, and the CCA's control stage. Read-only: sampling cannot
+  /// perturb the run.
   void fill_telemetry(TelemetryFlowSample& sample) const;
 
   /// Schedules the first send and the periodic tick at config.start_time.

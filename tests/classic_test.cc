@@ -604,7 +604,7 @@ TEST_P(ClassicE2E, FillsFriendlyLink) {
   net.run_until(sec(20));
   EXPECT_GT(net.link_utilization(sec(5), sec(20)), 0.7) << name;
   EXPECT_LT(net.flow(0).mean_rtt_in(sec(5), sec(20)), 200.0) << name;
-  EXPECT_LT(net.flow(0).metrics().loss_rate(), 0.10) << name;
+  EXPECT_LT(net.flow(0).loss_rate_in(0, sec(20)), 0.10) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassics, ClassicE2E,

@@ -134,7 +134,7 @@ TEST(SenderRobustness, MinPacingFloorApplies) {
   net.add_flow(std::make_unique<SilentCca>());
   net.run_until(sec(10));
   // 64 kbps floor -> at least ~50 packets in 10 s.
-  EXPECT_GT(net.flow(0).metrics().packets_acked, 40);
+  EXPECT_GT(net.flow(0).sender().packets_acked(), 40);
 }
 
 // Stochastic inference must not destabilize Libra: repeated runs on the same

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
+#include "classic/cubic.h"
 #include "classic/newreno.h"
 #include "harness/metered.h"
 #include "harness/report.h"
@@ -92,6 +94,73 @@ TEST(Runner, MultiFlowSummaries) {
   ASSERT_EQ(sum.flows.size(), 2u);
   EXPECT_GT(sum.flows[0].throughput_bps, 0);
   EXPECT_GT(sum.flows[1].throughput_bps, 0);
+}
+
+// The exact values below were recorded with the per-ACK time series that the
+// flows' 10 ms window rows replaced. Throughput, loss rate, utilization and
+// rate bins are integer sums of the same ACKs and losses, so they must match
+// bit for bit; a mean RTT is now one exact integer sum divided once, so it may
+// differ by rounding only.
+void expect_summary(const RunSummary& got, double util, double delay,
+                    const std::vector<std::array<double, 3>>& flows) {
+  EXPECT_EQ(got.link_utilization, util);
+  EXPECT_NEAR(got.avg_delay_ms, delay, delay * 1e-9);
+  ASSERT_EQ(got.flows.size(), flows.size());
+  double total = 0;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.flows[i].throughput_bps, flows[i][0]);
+    EXPECT_NEAR(got.flows[i].avg_rtt_ms, flows[i][1], flows[i][1] * 1e-9);
+    EXPECT_EQ(got.flows[i].loss_rate, flows[i][2]);
+    total += flows[i][0];
+  }
+  EXPECT_EQ(got.total_throughput_bps, total);
+}
+
+TEST(Runner, SummaryMatchesParentSeries) {
+  {
+    Scenario s = wired_scenario(24);
+    s.duration = sec(10);
+    auto net = run_scenario(s, {{[] { return std::make_unique<Cubic>(); }}}, 1);
+    SCOPED_TRACE("one flow");
+    expect_summary(summarize(*net, sec(2), sec(10)), 1.0, 68.572429687500104,
+                   {{24000000.0, 68.572429687500104, 0.00024993751562109475}});
+    // A window that ends inside the run, so a row too many shows too.
+    expect_summary(summarize(*net, 0, sec(5)), 0.98529999999999995, 68.594100376667086,
+                   {{23575200.0, 68.594100376667086, 0.02336448598130841}});
+  }
+  // Integration.ThreeFlowConvergenceAnalysis's run: flows enter 5 s apart.
+  Scenario s = wired_scenario(48, msec(30), 300 * 1000);
+  s.duration = sec(40);
+  auto net = run_scenario(s,
+                          {{[] { return std::make_unique<Cubic>(); }, 0},
+                           {[] { return std::make_unique<Cubic>(); }, sec(5)},
+                           {[] { return std::make_unique<Cubic>(); }, sec(10)}},
+                          7);
+  SCOPED_TRACE("three flows");
+  expect_summary(summarize(*net, sec(2), sec(40)), 1.0, 71.276703361841726,
+                 {{28463684.210526317, 71.017476241193819, 0.00016638935108153079},
+                  {8946315.7894736845, 71.550854429931817, 0.00084644141920011285},
+                  {10590000.0, 71.741851319516044, 0.00041730006855643983}});
+  const std::vector<double> want_bins = {
+      1656000.0, 2640000.0, 3000000.0, 3312000.0, 4344000.0, 5640000.0, 6144000.0,
+      6576000.0, 6960000.0, 7320000.0, 7656000.0, 7872000.0, 8448000.0, 9504000.0,
+      11280000.0, 12096000.0, 13776000.0, 14304000.0, 15000000.0, 14976000.0,
+      15096000.0, 15096000.0, 14832000.0, 14376000.0, 14808000.0, 16464000.0,
+      16056000.0, 15408000.0, 15000000.0, 15624000.0, 15864000.0, 15936000.0,
+      15912000.0, 15048000.0, 14712000.0, 14352000.0, 14256000.0, 14328000.0,
+      14400000.0, 14640000.0, 15240000.0, 16776000.0, 17304000.0, 18840000.0,
+      18960000.0, 19272000.0, 19368000.0, 19392000.0, 19296000.0, 19464000.0,
+      19008000.0, 16296000.0, 15744000.0, 15264000.0, 15048000.0, 14880000.0,
+      15024000.0, 15048000.0, 15048000.0, 14856000.0};
+  EXPECT_EQ(net->flow(2).rate_bins(msec(500), sec(10), sec(40)), want_bins);
+}
+
+TEST(Runner, RejectsDurationOffTheGrid) {
+  Scenario s = wired_scenario(24);
+  s.duration = msec(2005);
+  EXPECT_THROW(run_scenario(s, {{[] { return std::make_unique<NewReno>(); }}}, 1),
+               std::invalid_argument);
 }
 
 TEST(Trainer, EpisodeProducesMetrics) {

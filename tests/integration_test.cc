@@ -98,10 +98,7 @@ TEST(Integration, ThreeFlowConvergenceAnalysis) {
                            {[] { return std::make_unique<Cubic>(); }, sec(10)}},
                           7);
   // The third flow's convergence per the paper's Tab. 5 definition.
-  TimeSeries shifted;
-  for (auto& pt : net->flow(2).acked_bytes_series().points())
-    shifted.add(pt.time - sec(10), pt.value);
-  auto bins = shifted.to_rate_bins(msec(500), sec(30));
+  auto bins = net->flow(2).rate_bins(msec(500), sec(10), sec(40));
   auto res = analyze_convergence(bins, msec(500));
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.convergence_time, sec(25));

@@ -284,7 +284,7 @@ TEST(Vivace, StartupDoublesUntilUtilityDrops) {
   net.add_flow(std::make_unique<Vivace>());
   net.run_until(sec(15));
   EXPECT_GT(net.link_utilization(sec(5), sec(15)), 0.75);
-  EXPECT_LT(net.flow(0).metrics().loss_rate(), 0.05);
+  EXPECT_LT(net.flow(0).loss_rate_in(0, sec(15)), 0.05);
 }
 
 TEST(Vivace, TracksCapacityDrop) {

@@ -154,7 +154,7 @@ TEST(Libra, CleanSlateRunsWithoutClassic) {
   net.run_until(sec(10));
   // Clean-slate never credits the classic candidate.
   EXPECT_EQ(ptr->decision_counts().classic, 0);
-  EXPECT_GT(net.flow(0).metrics().packets_acked, 100);
+  EXPECT_GT(net.flow(0).sender().packets_acked(), 100);
 }
 
 TEST(Libra, UtilityAttributionMatchesCandidates) {

@@ -162,14 +162,15 @@ void expect_bitwise_equal(const RunSummary& a, const RunSummary& b) {
 
 TEST(RunMany, InspectHookSeesTheCompletedNetwork) {
   // The escape hatch for experiments that need more than a RunSummary (e.g.
-  // fig15's convergence time series): inspect fires once per request, on the
+  // fig15's convergence rate bins): inspect fires once per request, on the
   // finished Network, and what it reads matches the serial run exactly.
   std::vector<RunRequest> reqs = classic_sweep();
-  std::vector<double> inspected(reqs.size(), -1);
+  std::vector<std::vector<double>> inspected(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    double* slot = &inspected[i];
-    reqs[i].inspect = [slot](const Network& net) {
-      *slot = net.flow(0).acked_bytes_series().sum_in(0, kSimTimeMax);
+    std::vector<double>* slot = &inspected[i];
+    const SimTime horizon = reqs[i].scenario.duration;
+    reqs[i].inspect = [slot, horizon](const Network& net) {
+      *slot = net.flow(0).rate_bins(msec(500), 0, horizon);
     };
   }
 
@@ -180,7 +181,7 @@ TEST(RunMany, InspectHookSeesTheCompletedNetwork) {
     SCOPED_TRACE(i);
     auto net = run_scenario(reqs[i].scenario, reqs[i].flows, reqs[i].seed);
     EXPECT_EQ(inspected[i],
-              net->flow(0).acked_bytes_series().sum_in(0, kSimTimeMax));
+              net->flow(0).rate_bins(msec(500), 0, reqs[i].scenario.duration));
   }
 }
 

@@ -138,9 +138,9 @@ TEST_P(Determinism, IdenticalSeedsIdenticalRuns) {
     Network net(std::move(cfg));
     net.add_flow(std::make_unique<Cubic>());
     net.run_until(sec(5));
-    const auto& m = net.flow(0).metrics();
-    return std::make_tuple(m.packets_sent, m.packets_acked, m.packets_lost,
-                           m.rtt_ms.mean());
+    const Sender& s = net.flow(0).sender();
+    return std::make_tuple(s.packets_sent(), s.packets_acked(), s.packets_lost(),
+                           s.rtt_sum());
   };
   EXPECT_EQ(run(), run());
 }

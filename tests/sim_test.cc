@@ -632,8 +632,7 @@ TEST(Network, SingleNewRenoFlowFillsLink) {
   net.add_flow(std::make_unique<NewReno>());
   net.run_until(sec(10));
   EXPECT_GT(net.link_utilization(sec(2), sec(10)), 0.9);
-  const Flow& f = net.flow(0);
-  EXPECT_GT(f.metrics().packets_acked, 1000);
+  EXPECT_GT(net.flow(0).sender().packets_acked(), 1000);
 }
 
 TEST(Network, ConservationOfPackets) {
@@ -650,7 +649,7 @@ TEST(Network, DeterministicForSeed) {
     Network net(test_link(mbps(12), 15000, 0.02));
     net.add_flow(std::make_unique<NewReno>());
     net.run_until(sec(5));
-    return net.flow(0).metrics().packets_acked;
+    return net.flow(0).sender().packets_acked();
   };
   EXPECT_EQ(run(), run());
 }
@@ -663,7 +662,7 @@ TEST(Network, StaggeredFlowsStartAndStop) {
   const Flow& first = net.flow(0);
   const Flow& second = net.flow(1);
   // First flow stops at 4 s: no acked bytes attributable past ~4.2 s.
-  EXPECT_DOUBLE_EQ(first.acked_bytes_series().sum_in(sec(5), sec(8)), 0.0);
+  EXPECT_DOUBLE_EQ(first.throughput_in(sec(5), sec(8)), 0.0);
   // Second flow owns the link afterwards.
   EXPECT_GT(second.throughput_in(sec(5), sec(8)), mbps(9));
 }
@@ -683,6 +682,88 @@ TEST(Network, AddFlowAfterStartThrows) {
   EXPECT_THROW(net.add_flow(std::make_unique<NewReno>()), std::logic_error);
 }
 
+TEST(Network, WindowRowsMatchSenderCounters) {
+  // Every ACK and every loss lands in exactly one 10 ms row, so the rows
+  // summed over all sim time so far reproduce the sender's own counters.
+  Network net(test_link(mbps(12), 15000, 0.02));
+  net.add_flow(std::make_unique<NewReno>());
+  net.add_flow(std::make_unique<NewReno>(), msec(1500));
+  net.run_until(sec(5));
+  // run_until(t) also runs the events at t, which sit in the row from t.
+  const SimTime end = sec(5) + kWindowGrid;
+  for (int i = 0; i < net.flow_count(); ++i) {
+    SCOPED_TRACE(i);
+    const Flow& f = net.flow(i);
+    const Sender& s = f.sender();
+    const FlowCounts c = f.counts_in(0, end);
+    EXPECT_EQ(c.acked_bytes, s.delivered_bytes());
+    EXPECT_EQ(c.acks, s.packets_acked());
+    EXPECT_EQ(c.lost, s.packets_lost());
+    EXPECT_EQ(c.rtt_sum_us, s.rtt_sum());
+    EXPECT_GT(c.lost, 0);
+    // Split anywhere on the grid, the two sides add up to the whole.
+    const FlowCounts a = f.counts_in(0, msec(2370));
+    const FlowCounts b = f.counts_in(msec(2370), end);
+    EXPECT_EQ(a.acked_bytes + b.acked_bytes, c.acked_bytes);
+    EXPECT_EQ(a.acks + b.acks, c.acks);
+    EXPECT_EQ(a.lost + b.lost, c.lost);
+    EXPECT_EQ(a.rtt_sum_us + b.rtt_sum_us, c.rtt_sum_us);
+    EXPECT_EQ(f.loss_rate_in(0, end),
+              static_cast<double>(c.lost) / static_cast<double>(c.lost + c.acks));
+    // Rate bins: ceil(span / bin) of them, each over the full bin width.
+    const std::vector<double> bins = f.rate_bins(msec(300), sec(2), sec(3));
+    ASSERT_EQ(bins.size(), 4u);
+    for (std::size_t k = 0; k < bins.size(); ++k) {
+      const SimTime t0 = sec(2) + msec(300) * static_cast<SimTime>(k);
+      const SimTime t1 = std::min(t0 + msec(300), sec(3));
+      EXPECT_EQ(bins[k], static_cast<double>(f.counts_in(t0, t1).acked_bytes) * 8.0 /
+                             to_seconds(msec(300)));
+    }
+  }
+  // The second flow starts at 1.5 s: nothing before, something after.
+  EXPECT_EQ(net.flow(1).counts_in(0, msec(1500)).acks, 0);
+  EXPECT_GT(net.flow(1).counts_in(msec(1500), end).acks, 0);
+
+  // Rows are half-open: an event at exactly k * 10 ms opens row k. At
+  // 1.2 Mbps a 1500-byte packet serializes in 10 ms, so with 10 ms each way
+  // the first packet reaches the receiver at 20 ms and its ACK the sender at
+  // 30 ms; the second follows 10 ms later.
+  Network edge(test_link(kbps(1200), 30000));
+  edge.add_flow(std::make_unique<NewReno>());
+  edge.run_until(msec(45));
+  const Flow& f = edge.flow(0);
+  EXPECT_EQ(f.counts_in(0, msec(30)).acks, 0);
+  EXPECT_EQ(f.counts_in(msec(30), msec(40)).acks, 1);
+  EXPECT_EQ(f.counts_in(msec(40), msec(50)).acks, 1);
+  EXPECT_EQ(edge.link_utilization(0, msec(20)), 0.0);
+  EXPECT_EQ(edge.link_utilization(msec(20), msec(30)), 1.0);
+}
+
+TEST(Network, WindowQueriesRejectBoundsOffTheGrid) {
+  Network net(test_link(mbps(12), 30000));
+  net.add_flow(std::make_unique<NewReno>());
+  net.run_until(sec(2));
+  const Flow& f = net.flow(0);
+  EXPECT_THROW(f.throughput_in(msec(5), sec(1)), std::invalid_argument);
+  EXPECT_THROW(f.mean_rtt_in(0, msec(1005)), std::invalid_argument);
+  EXPECT_THROW(f.loss_rate_in(-kWindowGrid, sec(1)), std::invalid_argument);
+  EXPECT_THROW(f.counts_in(usec(1), sec(1)), std::invalid_argument);
+  EXPECT_THROW(f.rate_bins(msec(15), 0, sec(1)), std::invalid_argument);
+  EXPECT_THROW(f.rate_bins(msec(500), msec(5), sec(1)), std::invalid_argument);
+  EXPECT_THROW(f.rate_bins(msec(500), sec(1), sec(1)), std::invalid_argument);
+  EXPECT_THROW(net.link_utilization(0, msec(1995)), std::invalid_argument);
+  // An empty or reversed window still reads zero.
+  EXPECT_EQ(f.throughput_in(sec(1), sec(1)), 0.0);
+  EXPECT_EQ(f.throughput_in(sec(1), 0), 0.0);
+  EXPECT_EQ(f.mean_rtt_in(sec(1), 0), 0.0);
+  EXPECT_EQ(f.loss_rate_in(sec(1), 0), 0.0);
+  EXPECT_EQ(net.link_utilization(sec(1), 0), 0.0);
+  // On the grid but past the end of the run: zero, not an error.
+  EXPECT_EQ(f.throughput_in(sec(10), sec(20)), 0.0);
+  EXPECT_GT(f.throughput_in(0, sec(2)), 0.0);
+  EXPECT_GT(net.link_utilization(0, sec(2)), 0.0);
+}
+
 TEST(Sender, RtoFiresOnBlackout) {
   // A link whose capacity dies after 200 ms: outstanding packets must be
   // declared lost by the RTO so in-flight drains and the CCA learns.
@@ -694,7 +775,7 @@ TEST(Sender, RtoFiresOnBlackout) {
   Network net(std::move(cfg));
   net.add_flow(std::make_unique<NewReno>());
   net.run_until(sec(5));
-  EXPECT_GT(net.flow(0).metrics().packets_lost, 0);
+  EXPECT_GT(net.flow(0).sender().packets_lost(), 0);
   EXPECT_LT(net.flow(0).sender().bytes_in_flight(), 400 * kDefaultPacketBytes);
 }
 

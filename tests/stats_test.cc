@@ -5,7 +5,6 @@
 #include "stats/fairness.h"
 #include "stats/overhead.h"
 #include "stats/summary.h"
-#include "stats/timeseries.h"
 #include "stats/utility_fn.h"
 
 namespace libra {
@@ -75,33 +74,6 @@ TEST(Cdf, Validation) {
   EXPECT_THROW(c.fraction_below(1.0), std::logic_error);
   c.add(1.0);
   EXPECT_THROW(c.quantile(1.5), std::invalid_argument);
-}
-
-TEST(TimeSeries, SumAndMeanInWindow) {
-  TimeSeries ts;
-  ts.add(msec(10), 100);
-  ts.add(msec(20), 200);
-  ts.add(msec(30), 300);
-  EXPECT_DOUBLE_EQ(ts.sum_in(msec(10), msec(30)), 300);
-  EXPECT_DOUBLE_EQ(ts.mean_in(msec(10), msec(31)), 200);
-  EXPECT_DOUBLE_EQ(ts.mean_in(sec(1), sec(2)), 0);
-}
-
-TEST(TimeSeries, RateBins) {
-  TimeSeries ts;
-  // 1250 bytes at t=50ms -> bin 0 carries 10 kbit over 100ms = 100 kbps.
-  ts.add(msec(50), 1250);
-  auto bins = ts.to_rate_bins(msec(100), msec(300));
-  ASSERT_EQ(bins.size(), 3u);
-  EXPECT_NEAR(bins[0], 100e3, 1.0);
-  EXPECT_DOUBLE_EQ(bins[1], 0.0);
-}
-
-TEST(TimeSeries, RateBinsIgnoreOutOfHorizon) {
-  TimeSeries ts;
-  ts.add(sec(10), 1500);
-  auto bins = ts.to_rate_bins(msec(100), sec(1));
-  for (double b : bins) EXPECT_DOUBLE_EQ(b, 0.0);
 }
 
 TEST(Convergence, DetectsStableSignal) {

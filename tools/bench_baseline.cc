@@ -1,9 +1,8 @@
 // Continuous benchmark-regression driver.
 //
-// Runs a fixed set of hand-timed workloads (mirroring bench_micro's shapes,
-// but without the google-benchmark dependency so the output schema is ours),
-// reports median/stddev over N repeats, and either records a baseline JSON
-// or compares against a committed one:
+// Runs a fixed set of hand-timed workloads (the repo's one microbenchmark
+// harness; the schema is ours), reports median/stddev over N repeats, and
+// either records a baseline JSON or compares against a committed one:
 //
 //   bench_baseline --record=BENCH_seed.json --label=seed --git-sha=$(git rev-parse HEAD)
 //   bench_baseline --compare=BENCH_seed.json            # exit 1 on regression
@@ -61,8 +60,7 @@ double now_s() {
 }
 
 // --- Workloads --------------------------------------------------------------
-// Each returns one sample of its metric in the metric's unit. Workload shapes
-// match bench_micro so the two tools corroborate each other; sizes are tuned
+// Each returns one sample of its metric in the metric's unit; sizes are tuned
 // so a repeat stays well under a second.
 
 double wl_event_queue_ns() {
@@ -105,12 +103,13 @@ double wl_event_queue_large_capture_ns() {
   return elapsed * 1e9 / (kCycles * kEvents);
 }
 
-double simulated_second_cubic_ns_per_event(double cap_mbps) {
+double simulated_second_cubic_ns_per_event(double cap_mbps, bool recorded = false) {
   LinkConfig cfg;
   cfg.capacity = std::make_shared<ConstantTrace>(mbps(cap_mbps));
   cfg.buffer_bytes = 150'000;
   cfg.propagation_delay = msec(15);
   Network net(std::move(cfg));
+  if (recorded) net.recorder().enable();
   net.add_flow(std::make_unique<Cubic>());
   double t0 = now_s();
   net.run_until(sec(1));
@@ -120,6 +119,11 @@ double simulated_second_cubic_ns_per_event(double cap_mbps) {
 
 double wl_sim_second_cubic_10_ns() { return simulated_second_cubic_ns_per_event(10); }
 double wl_sim_second_cubic_100_ns() { return simulated_second_cubic_ns_per_event(100); }
+// The same run with the flight recorder on as a black-box ring (no sink): the
+// gap to sim_second_cubic_100mbps is the per-event cost of recording.
+double wl_sim_second_cubic_recorded_100_ns() {
+  return simulated_second_cubic_ns_per_event(100, /*recorded=*/true);
+}
 
 double wl_seed_sweep_ms() {
   // The parallel experiment engine end to end: 12 seeds of a 4-simulated-
@@ -365,6 +369,7 @@ constexpr MetricDef kMetrics[] = {
     {"event_queue_large_capture", "ns/item", 0.50, wl_event_queue_large_capture_ns},
     {"sim_second_cubic_10mbps", "ns/event", 0.75, wl_sim_second_cubic_10_ns},
     {"sim_second_cubic_100mbps", "ns/event", 0.75, wl_sim_second_cubic_100_ns},
+    {"sim_second_cubic_recorded_100mbps", "ns/event", 0.75, wl_sim_second_cubic_recorded_100_ns},
     {"seed_sweep_12x4s", "ms", 0.50, wl_seed_sweep_ms},
     {"ppo_inference_h64", "ns/call", 0.75, wl_ppo_inference_ns},
     {"ppo_update_h64", "ms/update", 0.35, wl_ppo_update_ms},
@@ -519,14 +524,14 @@ int compare_baseline(const Options& opt,
     }
   }
 
-  std::printf("\n%-28s %12s %12s %7s %6s  %s\n", "metric", "baseline", "fresh",
+  std::printf("\n%-34s %12s %12s %7s %6s  %s\n", "metric", "baseline", "fresh",
               "ratio", "tol", "status");
   int regressions = 0, missing = 0;
   for (std::size_t i = 0; i < std::size(kMetrics); ++i) {
     const MetricDef& def = kMetrics[i];
     const JsonValue* m = metrics->find(def.name);
     if (!m || !m->is_object() || !m->find("median")) {
-      std::printf("%-28s %12s %12.2f %7s %6s  %s\n", def.name, "-",
+      std::printf("%-34s %12s %12.2f %7s %6s  %s\n", def.name, "-",
                   results[i].median, "-", "-", "MISSING (not in baseline)");
       ++missing;
       continue;
@@ -541,7 +546,7 @@ int compare_baseline(const Options& opt,
     const bool improved = baseline > 0 && results[i].median < baseline * (1.0 - tol);
     const char* status = regressed ? "REGRESSED" : improved ? "ok (improved)" : "ok";
     if (regressed) ++regressions;
-    std::printf("%-28s %12.2f %12.2f %7.3f %6.2f  %s\n", def.name, baseline,
+    std::printf("%-34s %12.2f %12.2f %7.3f %6.2f  %s\n", def.name, baseline,
                 results[i].median, ratio, tol, status);
   }
   std::printf("\nbaseline: %s (label=%s sha=%s)\n", path.c_str(),
@@ -592,7 +597,7 @@ int run(int argc, char** argv) {
     samples.reserve(static_cast<std::size_t>(opt.repeats));
     for (int r = 0; r < opt.repeats; ++r) samples.push_back(def.run());
     results.push_back(summarize_samples(samples));
-    std::printf("  %-28s %12.2f %s (stddev %.2f)\n", def.name,
+    std::printf("  %-34s %12.2f %s (stddev %.2f)\n", def.name,
                 results.back().median, def.unit, results.back().stddev);
     std::fflush(stdout);
   }

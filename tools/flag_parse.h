@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <type_traits>
 
+#include "util/types.h"
+
 namespace libra {
 
 template <typename Int>
@@ -38,6 +40,18 @@ inline bool parse_real(const char* s, double lo, double hi, double& out) {
   if (errno != 0 || *end != '\0' || !std::isfinite(v) || v < lo || v > hi)
     return false;
   out = v;
+  return true;
+}
+
+/// A run length given in seconds: a positive number, rounded to whole
+/// microseconds (seconds() truncates, turning 2.01 into 2 009 999 us), that
+/// is a whole multiple of `grid`.
+inline bool parse_duration(const char* s, SimDuration grid, SimDuration& out) {
+  double secs = 0;
+  if (!parse_real(s, 0, 9e12, secs)) return false;
+  const auto d = static_cast<SimDuration>(std::llround(secs * 1e6));
+  if (d <= 0 || d % grid != 0) return false;
+  out = d;
   return true;
 }
 

@@ -19,10 +19,10 @@
 // columnar sampler and dump it post-run; --sample-ms sets its interval.
 // stderr always reports events processed and events/s, so overhead of the
 // sampler is measurable by diffing two invocations.
-// Numeric values are parsed strictly (flag_parse.h): --rate, --duration and
-// --sample-ms must be positive numbers, --flows a positive integer and
-// --seed an unsigned integer; a malformed or out-of-range value prints the
-// usage and exits 2.
+// Numeric values are parsed strictly (flag_parse.h): --rate and --sample-ms
+// must be positive numbers, --duration a positive number of seconds on the
+// 10 ms measurement grid, --flows a positive integer and --seed an unsigned
+// integer; a malformed or out-of-range value prints the usage and exits 2.
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::string telemetry_bin_path;
   std::string cca = "cubic";
   double rate_mbps = 48;
-  double duration_s = 5;
+  SimDuration duration = sec(5);
   double sample_ms = 1.0;
   std::uint64_t seed = 1;
   int n_flows = 1;
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--rate=", 0) == 0) {
       ok = parse_real(argv[i] + 7, 0, kInf, rate_mbps) && rate_mbps > 0;
     } else if (a.rfind("--duration=", 0) == 0) {
-      ok = parse_real(argv[i] + 11, 0, kInf, duration_s) && duration_s > 0;
+      ok = parse_duration(argv[i] + 11, kWindowGrid, duration);
     } else if (a.rfind("--seed=", 0) == 0) {
       ok = parse_int<std::uint64_t>(argv[i] + 7, 0, ~std::uint64_t{0}, seed);
     } else if (a.rfind("--flows=", 0) == 0) {
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   }
 
   Scenario s = wired_scenario(rate_mbps);
-  s.duration = seconds(duration_s);
+  s.duration = duration;
 
   ObsOptions obs;
   obs.record = trace;
