@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   for (double loss : losses) {
     for (const std::string& name : ccas) {
       Scenario s = wired_scenario(48, msec(30));
-      s.stochastic_loss = loss;
+      s.link.stochastic_loss = loss;
       s.duration = sec(30);
       for (int r = 0; r < runs; ++r) {
         batch.push_back(RunRequest::single(

@@ -4,9 +4,11 @@
 //
 //   scenario: wired24|wired48|wired96|lte-stationary|lte-walking|lte-driving|
 //             step|wan-inter|wan-intra|satellite|5g          (default wired48)
-//   seconds:  positive, on the 10 ms measurement grid; a bad value prints
-//             usage and exits 2
+//   seconds:  longer than run_single's 2 s warmup, on the 10 ms measurement
+//             grid
+//   seed:     an unsigned integer
 //   default CCAs: cubic bbr c-libra
+//   A bad seconds or seed value prints usage on stderr and exits 2.
 //
 // Example:
 //   ./run_experiment lte-driving 30 7 cubic bbr orca c-libra
@@ -54,11 +56,17 @@ int main(int argc, char** argv) {
       return 0;
     }
     Scenario s = scenario_by_name(scenario_name);
-    if (argc > 2 && !parse_duration(argv[2], kWindowGrid, s.duration)) {
+    // At or below the warmup, the measured window is empty.
+    if (argc > 2 && (!parse_duration(argv[2], kWindowGrid, s.duration) ||
+                     s.duration <= sec(2))) {
       std::cerr << "bad seconds: " << argv[2] << "\n" << kUsage;
       return 2;
     }
-    std::uint64_t seed = argc > 3 ? std::stoull(argv[3]) : 1;
+    std::uint64_t seed = 1;
+    if (argc > 3 && !parse_int<std::uint64_t>(argv[3], 0, ~std::uint64_t{0}, seed)) {
+      std::cerr << "bad seed: " << argv[3] << "\n" << kUsage;
+      return 2;
+    }
     std::vector<std::string> ccas;
     for (int i = 4; i < argc; ++i) ccas.emplace_back(argv[i]);
     if (ccas.empty()) ccas = {"cubic", "bbr", "c-libra"};

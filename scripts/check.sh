@@ -94,6 +94,18 @@ PY
       echo "trace round-trip: bench_fig08_tracking --duration=$bad exited $rc, want usage + exit 2" >&2
       exit 1; }
   done
+  # run_experiment: a malformed or negative seed, and a run no longer than
+  # run_single's 2 s warmup (its measured window would be empty).
+  for bad in "4 3x" "4 -1" "2 1"; do
+    rc=0
+    # shellcheck disable=SC2086  # seconds and seed are two arguments
+    ./build/examples/run_experiment wired24 $bad cubic \
+      > "$TRACE_DIR/bad.out" 2> "$TRACE_DIR/bad.err" || rc=$?
+    [[ "$rc" == 2 && ! -s "$TRACE_DIR/bad.out" ]] \
+      && grep -q "usage:" "$TRACE_DIR/bad.err" || {
+      echo "trace round-trip: run_experiment wired24 $bad cubic exited $rc, want usage + exit 2" >&2
+      exit 1; }
+  done
   echo "trace round-trip: ok"
 
   echo "== profiler smoke: profiled run + validated JSON artifacts =="
@@ -115,8 +127,7 @@ PY
   # Record a short 2-flow run with the 1 ms sampler, query the trace through
   # trace_summarize's filter flags, and render the columnar dump to HTML.
   ./build/tools/record_run --out="$TRACE_DIR/tel.jsonl" --duration=2 --flows=2 \
-    --telemetry="$TRACE_DIR/tel_cols.jsonl" \
-    --telemetry-bin="$TRACE_DIR/tel_cols.bin" --sample-ms=1 \
+    --telemetry="$TRACE_DIR/tel_cols.jsonl" --sample-ms=1 \
     > "$TRACE_DIR/tel_summary.json"
   ./build/tools/json_check --jsonl "$TRACE_DIR/tel_cols.jsonl"
   # Query round-trip: per-flow filtering and the event grep must agree with

@@ -96,12 +96,12 @@ std::vector<FleetFlowPlan> plan_fleet_flows(const FleetSpec& spec,
   return plans;
 }
 
-std::vector<FleetLink> fleet_links(const FleetSpec& spec) {
-  std::vector<FleetLink> links(static_cast<std::size_t>(spec.hops));
-  for (FleetLink& link : links) {
-    link.rate = mbps(spec.hop_rate_mbps);
+std::vector<LinkConfig> fleet_links(const FleetSpec& spec) {
+  std::vector<LinkConfig> links(static_cast<std::size_t>(spec.hops));
+  for (LinkConfig& link : links) {
+    link.capacity = std::make_shared<ConstantTrace>(mbps(spec.hop_rate_mbps));
     link.buffer_bytes = spec.buffer_bytes;
-    link.to_next_delay = spec.hop_delay;
+    link.propagation_delay = spec.hop_delay;
     link.ecn_threshold_bytes = spec.ecn_threshold_bytes;
     link.policer_rate = spec.policer_rate_mbps > 0 ? mbps(spec.policer_rate_mbps) : 0;
     link.policer_burst_bytes = spec.policer_burst_bytes;

@@ -133,8 +133,10 @@ struct FleetObsResult {
 FleetOptions fleet_options(const FleetSpec& spec, std::uint64_t seed,
                            const FleetRunOptions& run);
 
-/// Builds the hop chain for the spec.
-std::vector<FleetLink> fleet_links(const FleetSpec& spec);
+/// Builds the hop chain for the spec: one LinkConfig per hop, each with its
+/// own constant-rate capacity trace and `hop_delay` as its egress
+/// propagation.
+std::vector<LinkConfig> fleet_links(const FleetSpec& spec);
 
 /// Plans flows, builds the network, attaches `make_cca()` per flow, runs to
 /// spec.duration and summarizes. `make_cca` is invoked once per flow in flow

@@ -24,8 +24,7 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
   if (obs.record) {
     net->recorder().enable(obs.ring_capacity);
     if (!obs.trace_path.empty()) {
-      net->recorder().set_sink(StreamLineSink::open_file(obs.trace_path),
-                               obs.trace_format);
+      net->recorder().set_sink(StreamLineSink::open_file(obs.trace_path));
     }
   }
   if (obs.telemetry.enabled) net->telemetry().enable(obs.telemetry.config);
@@ -43,12 +42,6 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
   }
   net->recorder().flush();  // drain the ring tail to the sink (no-op without one)
   if (obs.telemetry.enabled) {
-    if (!obs.telemetry.binary_path.empty()) {
-      std::ofstream out(obs.telemetry.binary_path, std::ios::binary);
-      if (!out) throw std::runtime_error("run_scenario: cannot open " +
-                                         obs.telemetry.binary_path);
-      net->telemetry().write_binary(out);
-    }
     if (!obs.telemetry.jsonl_path.empty()) {
       std::ofstream out(obs.telemetry.jsonl_path);
       if (!out) throw std::runtime_error("run_scenario: cannot open " +

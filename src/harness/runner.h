@@ -57,7 +57,6 @@ struct ObsOptions {
   /// When non-empty, the trace streams to this file while recording (the ring
   /// flushes instead of overwriting), so runs of any length trace completely.
   std::string trace_path;
-  TraceFormat trace_format = TraceFormat::kJsonl;
   /// Appends an end-of-run "run" metadata event (wall/sim time, speed ratio)
   /// to the trace. Off by default: wall time is host-dependent, and the
   /// default trace must stay byte-identical for identical seeds.

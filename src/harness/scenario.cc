@@ -10,8 +10,8 @@ Scenario wired_scenario(double rate_mbps, SimDuration min_rtt,
   s.make_trace = [rate_mbps](std::uint64_t) {
     return std::make_shared<ConstantTrace>(mbps(rate_mbps));
   };
-  s.min_rtt = min_rtt;
-  s.buffer_bytes = buffer_bytes;
+  s.link.propagation_delay = min_rtt / 2;
+  s.link.buffer_bytes = buffer_bytes;
   return s;
 }
 
@@ -23,8 +23,8 @@ Scenario lte_scenario(LteProfile profile, const std::string& label,
   s.make_trace = [profile](std::uint64_t seed) -> std::shared_ptr<RateTrace> {
     return make_lte_trace(profile, sec(120), seed);
   };
-  s.min_rtt = min_rtt;
-  s.buffer_bytes = buffer_bytes;
+  s.link.propagation_delay = min_rtt / 2;
+  s.link.buffer_bytes = buffer_bytes;
   return s;
 }
 
@@ -38,9 +38,9 @@ Scenario step_scenario() {
     return make_step_trace({mbps(20), mbps(5), mbps(15), mbps(10), mbps(25)},
                            sec(10));
   };
-  s.min_rtt = msec(80);
+  s.link.propagation_delay = msec(80) / 2;
   // 1 BDP at the 12.5 Mbps average: 12.5e6/8 * 0.08 = 125 KB.
-  s.buffer_bytes = 125 * 1000;
+  s.link.buffer_bytes = 125 * 1000;
   s.duration = sec(50);
   return s;
 }
@@ -94,9 +94,9 @@ Scenario wan_inter_continental() {
     p.fade_depth = 0.5;
     return make_lte_trace(p, sec(120), seed);
   };
-  s.min_rtt = msec(180);
-  s.buffer_bytes = 600 * 1000;
-  s.stochastic_loss = 0.012;
+  s.link.propagation_delay = msec(180) / 2;
+  s.link.buffer_bytes = 600 * 1000;
+  s.link.stochastic_loss = 0.012;
   return s;
 }
 
@@ -115,9 +115,9 @@ Scenario wan_intra_continental() {
     p.fade_depth = 0.6;
     return make_lte_trace(p, sec(120), seed);
   };
-  s.min_rtt = msec(40);
-  s.buffer_bytes = 400 * 1000;
-  s.stochastic_loss = 0.002;
+  s.link.propagation_delay = msec(40) / 2;
+  s.link.buffer_bytes = 400 * 1000;
+  s.link.stochastic_loss = 0.002;
   return s;
 }
 
@@ -128,9 +128,9 @@ Scenario satellite_scenario() {
   s.make_trace = [](std::uint64_t) -> std::shared_ptr<RateTrace> {
     return std::make_shared<ConstantTrace>(mbps(20));
   };
-  s.min_rtt = msec(600);
-  s.buffer_bytes = 2 * 1000 * 1000;
-  s.stochastic_loss = 0.03;
+  s.link.propagation_delay = msec(600) / 2;
+  s.link.buffer_bytes = 2 * 1000 * 1000;
+  s.link.stochastic_loss = 0.03;
   s.duration = sec(90);
   return s;
 }
@@ -152,8 +152,8 @@ Scenario fiveg_scenario() {
     p.fade_duration = msec(400);
     return make_lte_trace(p, sec(120), seed);
   };
-  s.min_rtt = msec(20);
-  s.buffer_bytes = 800 * 1000;
+  s.link.propagation_delay = msec(20) / 2;
+  s.link.buffer_bytes = 800 * 1000;
   return s;
 }
 
@@ -161,7 +161,7 @@ Scenario datacenter_ecn_scenario(double rate_mbps, SimDuration min_rtt,
                                  std::int64_t ecn_threshold_bytes) {
   Scenario s = wired_scenario(rate_mbps, min_rtt, 900 * 1000);
   s.name = "dc-ecn-" + std::to_string(static_cast<int>(rate_mbps));
-  s.ecn_threshold_bytes = ecn_threshold_bytes;
+  s.link.ecn_threshold_bytes = ecn_threshold_bytes;
   s.duration = sec(30);
   return s;
 }
@@ -170,9 +170,9 @@ Scenario policed_wan_scenario(double rate_mbps, double policer_rate_mbps,
                               std::int64_t burst_bytes, SimTime policer_start) {
   Scenario s = wired_scenario(rate_mbps, msec(20));
   s.name = "policed-" + std::to_string(static_cast<int>(policer_rate_mbps));
-  s.policer_rate = mbps(policer_rate_mbps);
-  s.policer_burst_bytes = burst_bytes;
-  s.policer_start = policer_start;
+  s.link.policer_rate = mbps(policer_rate_mbps);
+  s.link.policer_burst_bytes = burst_bytes;
+  s.link.policer_start = policer_start;
   s.duration = sec(30);
   return s;
 }

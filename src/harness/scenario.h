@@ -1,9 +1,10 @@
 // Canonical experiment scenarios.
 //
-// Each Scenario fully determines a bottleneck (trace family, buffer, loss,
-// min RTT) while leaving the stochastic trace realization to a per-run seed,
-// so repeated-trial experiments (Fig. 2b, Tab. 6) get genuinely different
-// trace draws.
+// Each Scenario fully determines a bottleneck (trace family plus one
+// LinkConfig: buffer, propagation delay, loss, ECN marking, policer and queue
+// discipline) while leaving the stochastic trace realization to a per-run
+// seed, so repeated-trial experiments (Fig. 2b, Tab. 6) get genuinely
+// different trace draws.
 #pragma once
 
 #include <functional>
@@ -21,38 +22,26 @@ struct Scenario {
   std::string name;
   /// Builds the capacity trace for a given run seed.
   std::function<std::shared_ptr<RateTrace>(std::uint64_t seed)> make_trace;
-  SimDuration min_rtt = msec(30);
-  std::int64_t buffer_bytes = 150 * 1000;
-  double stochastic_loss = 0.0;
+  /// The bottleneck's settings (see sim/link.h). `propagation_delay` is the
+  /// forward one-way delay, half the scenario's min RTT (the other half is
+  /// the ACK path). `capacity` and `seed` are per run: link_config() fills
+  /// them.
+  LinkConfig link;
   SimDuration duration = sec(60);
   /// Nominal mean capacity (for reporting normalization).
   RateBps nominal_rate = 0;
 
-  /// Datacenter & policed-path knobs (see sim/link.h for semantics). An
-  /// ecn_threshold > 0 marks the scenario ECN-enabled; run_scenario stamps
-  /// every flow's packets ECT so the marks reach the CCAs.
-  std::int64_t ecn_threshold_bytes = 0;
-  RateBps policer_rate = 0;
-  std::int64_t policer_burst_bytes = 30 * 1000;
-  bool policer_marks = false;
-  SimTime policer_start = 0;
-  SimTime policer_stop = kSimTimeMax;
-
-  bool ecn_enabled() const { return ecn_threshold_bytes > 0 || policer_marks; }
+  /// An ECN threshold or a marking policer makes the scenario ECN-enabled;
+  /// run_scenario stamps every flow's packets ECT so the marks reach the
+  /// CCAs.
+  bool ecn_enabled() const {
+    return link.ecn_threshold_bytes > 0 || link.policer_marks;
+  }
 
   LinkConfig link_config(std::uint64_t seed) const {
-    LinkConfig cfg;
+    LinkConfig cfg = link;
     cfg.capacity = make_trace(seed);
-    cfg.buffer_bytes = buffer_bytes;
-    cfg.propagation_delay = min_rtt / 2;  // other half is the ACK path
-    cfg.stochastic_loss = stochastic_loss;
     cfg.seed = seed ^ 0xABCDEF;
-    cfg.ecn_threshold_bytes = ecn_threshold_bytes;
-    cfg.policer_rate = policer_rate;
-    cfg.policer_burst_bytes = policer_burst_bytes;
-    cfg.policer_marks = policer_marks;
-    cfg.policer_start = policer_start;
-    cfg.policer_stop = policer_stop;
     return cfg;
   }
 };

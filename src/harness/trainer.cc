@@ -29,9 +29,10 @@ Scenario Trainer::sample_env(std::uint64_t& run_seed) {
   env.make_trace = [cap](std::uint64_t) {
     return std::make_shared<ConstantTrace>(mbps(cap));
   };
-  env.min_rtt = rng_.uniform_int(ranges_.rtt_lo, ranges_.rtt_hi);
-  env.buffer_bytes = rng_.uniform_int(ranges_.buffer_lo, ranges_.buffer_hi);
-  env.stochastic_loss = rng_.uniform(ranges_.loss_lo, ranges_.loss_hi);
+  const SimDuration min_rtt = rng_.uniform_int(ranges_.rtt_lo, ranges_.rtt_hi);
+  env.link.propagation_delay = min_rtt / 2;
+  env.link.buffer_bytes = rng_.uniform_int(ranges_.buffer_lo, ranges_.buffer_hi);
+  env.link.stochastic_loss = rng_.uniform(ranges_.loss_lo, ranges_.loss_hi);
   env.duration = ranges_.episode_length;
   run_seed = static_cast<std::uint64_t>(rng_.uniform_int(1, 1'000'000'000));
   return env;

@@ -143,7 +143,6 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
 }
 
 CcaFactory CcaZoo::factory(const std::string& name) {
-  const bool train = config_.experiment_training;
   if (name == "cubic") return [] { return std::make_unique<Cubic>(); };
   if (name == "bbr") return [] { return std::make_unique<Bbr>(); };
   if (name == "newreno") return [] { return std::make_unique<NewReno>(); };
@@ -160,35 +159,35 @@ CcaFactory CcaZoo::factory(const std::string& name) {
   if (name == "indigo") return [] { return std::make_unique<Indigo>(); };
   if (name == "aurora") {
     auto b = brain("aurora");
-    return [b, train] { return make_aurora(b, train); };
+    return [b] { return make_aurora(b, /*training=*/false); };
   }
   if (name == "orca") {
     auto b = brain("orca");
-    return [b, train] {
+    return [b] {
       OrcaParams p;
-      p.training = train;
+      p.training = false;
       return std::make_unique<Orca>(p, b);
     };
   }
   if (name == "modified-rl") {
     auto b = brain("modified-rl");
-    return [b, train] { return make_modified_rl(b, train); };
+    return [b] { return make_modified_rl(b, /*training=*/false); };
   }
   if (name == "libra-rl") {
     auto b = brain("libra-rl");
-    return [b, train] { return make_libra_rl(b, train); };
+    return [b] { return make_libra_rl(b, /*training=*/false); };
   }
   if (name == "c-libra") {
     auto b = brain("libra-rl");
-    return [b, train] { return make_c_libra(b, train); };
+    return [b] { return make_c_libra(b, /*training=*/false); };
   }
   if (name == "b-libra") {
     auto b = brain("libra-rl");
-    return [b, train] { return make_b_libra(b, train); };
+    return [b] { return make_b_libra(b, /*training=*/false); };
   }
   if (name == "cl-libra") {
     auto b = brain("libra-rl");
-    return [b, train] { return make_clean_slate_libra(b, train); };
+    return [b] { return make_clean_slate_libra(b, /*training=*/false); };
   }
   throw std::out_of_range("CcaZoo: unknown CCA " + name);
 }

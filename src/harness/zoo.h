@@ -26,9 +26,6 @@ struct ZooConfig {
   /// sizes. The overhead benches use 512 to measure paper-scale model cost.
   std::size_t hidden_width = 64;
   std::uint64_t seed = 42;
-  /// When false (default) learned CCAs act greedily during experiments, like
-  /// the paper's frozen offline-trained models.
-  bool experiment_training = false;
   /// Episodes collected per policy snapshot during training (see
   /// Trainer::train_parallel). A fixed algorithm parameter: changing it
   /// changes the trained policy, changing the thread count does not.
@@ -50,6 +47,8 @@ class CcaZoo {
   /// Names: cubic bbr newreno vegas westwood illinois copa compound dctcp
   /// sprout vivace proteus remy indigo aurora orca modified-rl libra-rl
   /// c-libra b-libra cl-libra. Throws std::out_of_range on unknown names.
+  /// Learned CCAs act greedily, like the paper's frozen offline-trained
+  /// models.
   CcaFactory factory(const std::string& name);
 
   static std::vector<std::string> all_names();

@@ -231,9 +231,7 @@ RateBps RlCca::external_decide(SimTime now) {
     collector_.finish(now);
     return rate_;  // hold the previous decision (Sec. 3 no-ACK rule)
   }
-  MiReport report = collector_.finish(now);
-  last_report_ = report;
-  learn_and_act(report);
+  learn_and_act(collector_.finish(now));
   return rate_;
 }
 
@@ -258,9 +256,7 @@ void RlCca::maybe_close_mi(SimTime now) {
     return;
   }
 
-  MiReport report = collector_.finish(now);
-  last_report_ = report;
-  learn_and_act(report);
+  learn_and_act(collector_.finish(now));
 }
 
 void RlCca::learn_and_act(const MiReport& report) {
@@ -268,8 +264,7 @@ void RlCca::learn_and_act(const MiReport& report) {
   episode_reward_ += reward;
   ++episode_steps_;
   if (config_.training) {
-    brain_->agent.give_reward(reward, episode_ending_);
-    episode_ending_ = false;
+    brain_->agent.give_reward(reward);
   }
 
   Vector frame = build_frame(report);

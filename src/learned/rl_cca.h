@@ -172,13 +172,6 @@ class RlCca : public CongestionControl {
   int episode_steps() const { return episode_steps_; }
   void reset_episode_metrics() { episode_reward_ = 0; episode_steps_ = 0; }
 
-  /// Marks an episode boundary for GAE on the next MI close.
-  void mark_episode_end() { episode_ending_ = true; }
-
-  /// Processes any pending MI. Returns the last MI's raw report — Libra's
-  /// controller uses it to run the agent on its own schedule.
-  const MiReport& last_report() const { return last_report_; }
-
   RlBrain& brain() { return *brain_; }
 
  private:
@@ -202,8 +195,6 @@ class RlCca : public CongestionControl {
   double d_min_s_ = 0;           // running min delay (reward normalizer)
   double episode_reward_ = 0;
   int episode_steps_ = 0;
-  bool episode_ending_ = false;
-  MiReport last_report_;
 };
 
 }  // namespace libra

@@ -49,12 +49,6 @@ void FlightRecorder::enable(std::size_t ring_capacity) {
   enabled_ = true;
 }
 
-void FlightRecorder::set_sink(std::shared_ptr<LineSink> sink, TraceFormat format) {
-  sink_ = std::move(sink);
-  format_ = format;
-  csv_header_written_ = false;
-}
-
 std::vector<TraceEvent> FlightRecorder::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(size_);
@@ -65,44 +59,15 @@ std::vector<TraceEvent> FlightRecorder::snapshot() const {
 
 void FlightRecorder::flush() {
   if (!sink_) return;
-  if (format_ == TraceFormat::kCsv && !csv_header_written_) {
-    sink_->write_line(csv_header());
-    csv_header_written_ = true;
-  }
   for (std::size_t i = 0; i < size_; ++i) {
     const TraceEvent& ev = ring_[(head_ + i) % ring_.size()];
     line_.clear();
-    if (format_ == TraceFormat::kJsonl) {
-      append_jsonl(ev, line_);
-    } else {
-      append_csv(ev, line_);
-    }
+    append_jsonl(ev, line_);
     sink_->write_line(line_);
   }
   head_ = 0;
   size_ = 0;
   sink_->flush();
-}
-
-void FlightRecorder::write_jsonl(std::ostream& out) const {
-  std::string line;
-  for (std::size_t i = 0; i < size_; ++i) {
-    line.clear();
-    append_jsonl(ring_[(head_ + i) % ring_.size()], line);
-    line.push_back('\n');
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
-  }
-}
-
-void FlightRecorder::write_csv(std::ostream& out) const {
-  out << csv_header() << "\n";
-  std::string line;
-  for (std::size_t i = 0; i < size_; ++i) {
-    line.clear();
-    append_csv(ring_[(head_ + i) % ring_.size()], line);
-    line.push_back('\n');
-    out.write(line.data(), static_cast<std::streamsize>(line.size()));
-  }
 }
 
 const char* FlightRecorder::kind_name(TraceKind kind) {
@@ -123,8 +88,6 @@ const char* FlightRecorder::kind_name(TraceKind kind) {
   }
   return "unknown";
 }
-
-const char* FlightRecorder::csv_header() { return "t,ev,flow,seq,a,b,c,d,e,f"; }
 
 void FlightRecorder::append_jsonl(const TraceEvent& ev, std::string& out) {
   JsonWriter w(out);
@@ -207,20 +170,6 @@ void FlightRecorder::append_jsonl(const TraceEvent& ev, std::string& out) {
       break;
   }
   w.end_object();
-}
-
-void FlightRecorder::append_csv(const TraceEvent& ev, std::string& out) {
-  json_append_number(to_seconds(ev.t), out);
-  out += ',';
-  out += kind_name(ev.kind);
-  out += ',';
-  json_append_number(static_cast<std::int64_t>(ev.flow), out);
-  out += ',';
-  json_append_number(ev.seq, out);
-  for (double v : {ev.a, ev.b, ev.c, ev.d, ev.e, ev.f}) {
-    out += ',';
-    json_append_number(v, out);
-  }
 }
 
 }  // namespace libra

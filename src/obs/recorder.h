@@ -6,7 +6,7 @@
 // branch and nothing else — no event construction, no allocation. enable()
 // preallocates a fixed-capacity ring of POD TraceEvent records:
 //
-//   - with a sink attached, a full ring flushes (streaming JSONL/CSV), so
+//   - with a sink attached, a full ring flushes (streaming JSONL), so
 //     arbitrarily long runs trace completely to disk;
 //   - without a sink the ring keeps the most recent events (black-box mode)
 //     and counts what it overwrote.
@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -56,8 +55,6 @@ struct TraceEvent {
   double a = 0, b = 0, c = 0, d = 0, e = 0, f = 0;
 };
 
-enum class TraceFormat { kJsonl, kCsv };
-
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;  // ~4.5 MB of events
@@ -68,9 +65,9 @@ class FlightRecorder {
   void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
-  /// Streaming target: when set, a full ring flushes to the sink instead of
-  /// overwriting its oldest events. CSV sinks get a header row first.
-  void set_sink(std::shared_ptr<LineSink> sink, TraceFormat format = TraceFormat::kJsonl);
+  /// Streaming target: when set, a full ring flushes to the sink as JSONL
+  /// instead of overwriting its oldest events.
+  void set_sink(std::shared_ptr<LineSink> sink) { sink_ = std::move(sink); }
 
   // --- record points (inline no-ops while disabled) ------------------------
 
@@ -184,14 +181,8 @@ class FlightRecorder {
   /// a sink.
   void flush();
 
-  /// Serializes buffered events (does not clear the buffer).
-  void write_jsonl(std::ostream& out) const;
-  void write_csv(std::ostream& out) const;
-
   static void append_jsonl(const TraceEvent& ev, std::string& out);
-  static void append_csv(const TraceEvent& ev, std::string& out);
   static const char* kind_name(TraceKind kind);
-  static const char* csv_header();
 
  private:
   void push(const TraceEvent& ev) {
@@ -215,11 +206,9 @@ class FlightRecorder {
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   bool enabled_ = false;
-  bool csv_header_written_ = false;
   std::uint64_t recorded_ = 0;
   std::uint64_t overwritten_ = 0;
   std::shared_ptr<LineSink> sink_;
-  TraceFormat format_ = TraceFormat::kJsonl;
   std::string line_;  // flush scratch, reused across events
 };
 

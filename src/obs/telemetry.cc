@@ -150,24 +150,6 @@ void append_series_line(const char* kind, int index, const char* col_name,
   w.end_object();
 }
 
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void write_series_binary(std::ostream& out, const TelemetrySeries& s) {
-  write_pod(out, static_cast<std::uint32_t>(s.samples_per_bucket()));
-  write_pod(out, static_cast<std::uint32_t>(s.buckets()));
-  for (std::size_t c = 0; c < s.columns(); ++c) {
-    const auto& col = s.column(c);
-    for (const auto& b : col) write_pod(out, b.first);
-    for (const auto& b : col) write_pod(out, b.last);
-    for (const auto& b : col) write_pod(out, b.min);
-    for (const auto& b : col) write_pod(out, b.max);
-    for (const auto& b : col) write_pod(out, b.count);
-  }
-}
-
 }  // namespace
 
 void Telemetry::write_jsonl(std::ostream& out) const {
@@ -218,23 +200,6 @@ void Telemetry::write_jsonl(std::ostream& out) const {
     w.key("stage").value(static_cast<std::int64_t>(ev.stage));
     w.end_object();
     out << line << "\n";
-  }
-}
-
-void Telemetry::write_binary(std::ostream& out) const {
-  out.write("LTLM0001", 8);
-  write_pod(out, static_cast<std::int64_t>(config_.sample_interval));
-  write_pod(out, static_cast<std::uint32_t>(flows_.size()));
-  write_pod(out, static_cast<std::uint32_t>(queues_.size()));
-  write_pod(out, static_cast<std::uint32_t>(kFlowColumns));
-  write_pod(out, static_cast<std::uint32_t>(kQueueColumns));
-  for (const auto& s : flows_) write_series_binary(out, s);
-  for (const auto& s : queues_) write_series_binary(out, s);
-  write_pod(out, static_cast<std::uint32_t>(stage_events_.size()));
-  for (const TelemetryStageEvent& ev : stage_events_) {
-    write_pod(out, static_cast<std::int64_t>(ev.t));
-    write_pod(out, ev.flow);
-    write_pod(out, ev.stage);
   }
 }
 

@@ -20,8 +20,8 @@
 //     callbacks only *read* simulator state, so enabling telemetry does not
 //     perturb results (tests/telemetry_test.cc asserts bitwise-identical
 //     RunSummary with telemetry on vs off);
-//   - exports: a compact binary columnar dump (schema below) and a JSONL
-//     form consumed by tools/report_html and offline analysis.
+//   - export: a JSONL form consumed by tools/report_html and offline
+//     analysis.
 #pragma once
 
 #include <cstdint>
@@ -193,7 +193,7 @@ class Telemetry {
  public:
   static constexpr std::size_t kFlowColumns = 7;
   static constexpr std::size_t kQueueColumns = 4;
-  /// Column names, in sample-struct field order (JSONL/binary schema).
+  /// Column names, in sample-struct field order (JSONL schema).
   static const char* const kFlowColumnNames[kFlowColumns];
   static const char* const kQueueColumnNames[kQueueColumns];
 
@@ -256,11 +256,6 @@ class Telemetry {
   /// in EXPERIMENTS.md ("Telemetry").
   void write_jsonl(std::ostream& out) const;
 
-  /// Compact binary columnar dump ("LTLM0001"): fixed-width header, then per
-  /// series per column the first[]/last[]/min[]/max[] arrays as doubles and
-  /// count[] as uint32, then the stage events. Native endianness.
-  void write_binary(std::ostream& out) const;
-
  private:
   void push_stage(SimTime t, int flow, int stage);
   TelemetrySeries& series_for(std::vector<TelemetrySeries>& group, int index,
@@ -286,9 +281,9 @@ class Telemetry {
 struct TelemetryOptions {
   bool enabled = false;
   TelemetryConfig config;
-  /// When non-empty, the run's columnar store is dumped here after the run.
-  std::string binary_path;  // compact binary ("LTLM0001")
-  std::string jsonl_path;   // JSONL export (tools/report_html input)
+  /// When non-empty, the run's columnar store is dumped here after the run as
+  /// JSONL (tools/report_html input).
+  std::string jsonl_path;
 };
 
 }  // namespace libra

@@ -9,9 +9,9 @@
 
 namespace libra {
 
-FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
-    : mode_(options.mode), opts_(std::move(options)), hop_specs_(std::move(hops)) {
-  if (hop_specs_.empty())
+FleetNetwork::FleetNetwork(std::vector<LinkConfig> hops, FleetOptions options)
+    : mode_(options.mode), opts_(std::move(options)) {
+  if (hops.empty())
     throw std::invalid_argument("FleetNetwork: at least one hop required");
   if (opts_.sender_shards < 0)
     throw std::invalid_argument("FleetNetwork: sender_shards must be >= 0");
@@ -19,7 +19,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     throw std::invalid_argument("FleetNetwork: tick interval must be > 0");
 
   const std::size_t nshards =
-      hop_specs_.size() + static_cast<std::size_t>(opts_.sender_shards);
+      hops.size() + static_cast<std::size_t>(opts_.sender_shards);
   if (nshards >= (std::size_t{1} << 15))
     throw std::invalid_argument("FleetNetwork: too many shards");
   shards_.resize(nshards);
@@ -44,23 +44,14 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     for (auto& row : outbox_) row.resize(nshards);
   }
 
-  links_.reserve(hop_specs_.size());
-  for (std::size_t h = 0; h < hop_specs_.size(); ++h) {
-    LinkConfig cfg;
-    cfg.capacity = hop_specs_[h].capacity
-                       ? hop_specs_[h].capacity
-                       : std::make_shared<ConstantTrace>(hop_specs_[h].rate);
-    cfg.buffer_bytes = hop_specs_[h].buffer_bytes;
+  links_.reserve(hops.size());
+  hop_delay_.reserve(hops.size());
+  for (std::size_t h = 0; h < hops.size(); ++h) {
+    LinkConfig& cfg = hops[h];
     // Hop-to-hop propagation is the engine's cross-shard edge (see
     // on_hop_deliver); the link itself delivers at serialization end.
+    hop_delay_.push_back(cfg.propagation_delay);
     cfg.propagation_delay = 0;
-    cfg.stochastic_loss = hop_specs_[h].stochastic_loss;
-    cfg.ecn_threshold_bytes = hop_specs_[h].ecn_threshold_bytes;
-    cfg.policer_rate = hop_specs_[h].policer_rate;
-    cfg.policer_burst_bytes = hop_specs_[h].policer_burst_bytes;
-    cfg.policer_marks = hop_specs_[h].policer_marks;
-    cfg.policer_start = hop_specs_[h].policer_start;
-    cfg.policer_stop = hop_specs_[h].policer_stop;
     cfg.seed = opts_.seed ^ (0xF1EE7u + 0x9E3779B9u * static_cast<std::uint64_t>(h));
     auto link = std::make_unique<Link>(*shards_[h].queue, std::move(cfg));
     const int hop = static_cast<int>(h);
@@ -76,7 +67,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     const SimTime k = (opts_.warmup + tick - 1) / tick;
     window_start_ = std::max<SimTime>(k, 1) * tick;
   }
-  hop_delivered_w0_.assign(hop_specs_.size(), 0);
+  hop_delivered_w0_.assign(links_.size(), 0);
 }
 
 FleetNetwork::~FleetNetwork() = default;
@@ -103,8 +94,9 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   // propagation to the receiver plus the whole uncongested return path
   // (mirroring the forward propagation and the sender's access link).
   SimDuration return_path = opts_.access_delay + def.extra_ack_delay;
-  for (int h = enter; h <= exit; ++h) return_path += hop_specs_[h].to_next_delay;
-  r.ack_delay = hop_specs_[static_cast<std::size_t>(exit)].to_next_delay + return_path;
+  for (int h = enter; h <= exit; ++h)
+    return_path += hop_delay_[static_cast<std::size_t>(h)];
+  r.ack_delay = hop_delay_[static_cast<std::size_t>(exit)] + return_path;
 
   SenderConfig cfg = opts_.sender;
   cfg.flow_id = id;
@@ -141,7 +133,7 @@ void FleetNetwork::compute_lookahead() {
       min_cross = std::min(min_cross, opts_.access_delay);
     for (int h = r.enter; h < r.exit; ++h)
       min_cross =
-          std::min(min_cross, hop_specs_[static_cast<std::size_t>(h)].to_next_delay);
+          std::min(min_cross, hop_delay_[static_cast<std::size_t>(h)]);
     if (r.sender_shard != shard_of_hop(r.exit))
       min_cross = std::min(min_cross, r.ack_delay);
   }
@@ -224,7 +216,7 @@ void FleetNetwork::on_hop_deliver(int hop, const Packet& pkt) {
   const auto h = static_cast<std::size_t>(hop);
   if (hop < r.exit) {
     Link* next = links_[h + 1].get();
-    post(shard_of_hop(hop), shard_of_hop(hop + 1), hop_specs_[h].to_next_delay,
+    post(shard_of_hop(hop), shard_of_hop(hop + 1), hop_delay_[h],
          [next, pkt] { next->send(pkt); });
   } else {
     // Receiver acks immediately; the ACK rides the uncongested return path.

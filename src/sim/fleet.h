@@ -2,8 +2,9 @@
 // of bottleneck hops, with a struct-of-arrays hot path and optional sharded
 // event processing.
 //
-// Topology model: a path of `FleetLink` hops (each a droptail Link with its
-// own buffer, capacity and egress propagation delay). A flow enters at hop
+// Topology model: a path of hops, each a Link built from its own LinkConfig
+// (capacity, buffer, queue discipline, loss, ECN marking, policer), whose
+// propagation_delay is the hop's egress propagation. A flow enters at hop
 // `enter_hop`, traverses contiguous hops through `exit_hop`, and its ACKs
 // return over an uncongested path whose delay mirrors the forward
 // propagation. Senders sit an `access_delay` in front of their first hop.
@@ -57,7 +58,6 @@
 #include "sim/flow_soa.h"
 #include "sim/link.h"
 #include "sim/sender.h"
-#include "trace/rate_trace.h"
 #include "util/thread_pool.h"
 #include "util/types.h"
 
@@ -67,30 +67,6 @@ class Telemetry;
 struct TelemetryConfig;
 
 enum class FleetMode { kSerial, kSharded };
-
-/// One bottleneck hop of the chain.
-struct FleetLink {
-  /// Fixed capacity; used when `capacity` is null.
-  RateBps rate = mbps(96);
-  /// Optional trace-driven capacity (overrides `rate`).
-  std::shared_ptr<RateTrace> capacity;
-  std::int64_t buffer_bytes = 150 * 1000;
-  /// One-way propagation from this hop's egress to the next hop (or to the
-  /// receiver, for the exit hop). This is the cross-shard edge, so it bounds
-  /// the sharded engine's lookahead; must be > 0 for sharded topologies.
-  SimDuration to_next_delay = msec(5);
-  double stochastic_loss = 0.0;
-  /// ECN marking threshold and ingress token-bucket policer, passed straight
-  /// through to LinkConfig (see sim/link.h for semantics). All processing
-  /// happens on the hop's owning shard, so the serial==sharded bitwise
-  /// identity contract holds for every marking/policing combination.
-  std::int64_t ecn_threshold_bytes = 0;
-  RateBps policer_rate = 0;
-  std::int64_t policer_burst_bytes = 30 * 1000;
-  bool policer_marks = false;
-  SimTime policer_start = 0;
-  SimTime policer_stop = kSimTimeMax;
-};
 
 struct FleetOptions {
   FleetMode mode = FleetMode::kSerial;
@@ -164,7 +140,16 @@ struct FleetFlowRef {
 
 class FleetNetwork {
  public:
-  FleetNetwork(std::vector<FleetLink> hops, FleetOptions options);
+  /// One LinkConfig per hop of the chain. A hop's `propagation_delay` is its
+  /// egress propagation: one way from the hop to the next hop (or to the
+  /// receiver, for the exit hop). That is the cross-shard edge, so it bounds
+  /// the sharded engine's lookahead and must be > 0 for sharded topologies;
+  /// the engine builds each Link with zero propagation and applies the delay
+  /// at the hop boundary. Each hop's `seed` is overwritten with one derived
+  /// from FleetOptions::seed and the hop index. Every other setting (marking,
+  /// policing, CoDel) runs on the hop's owning shard, so serial == sharded
+  /// holds for any of them.
+  FleetNetwork(std::vector<LinkConfig> hops, FleetOptions options);
   ~FleetNetwork();
   FleetNetwork(const FleetNetwork&) = delete;
   FleetNetwork& operator=(const FleetNetwork&) = delete;
@@ -318,7 +303,7 @@ class FleetNetwork {
 
   FleetMode mode_;
   FleetOptions opts_;
-  std::vector<FleetLink> hop_specs_;
+  std::vector<SimDuration> hop_delay_;  // per hop: egress propagation
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<Shard> shards_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -548,6 +548,49 @@ TEST(FleetIdentity, ShardedMatchesSerialForMarkingPolicer) {
   }
 }
 
+TEST(FleetIdentity, ShardedMatchesSerialWithCodelHops) {
+  // CoDel reaches the fleet through each hop's LinkConfig, like any other
+  // link setting. Its control law runs on the hop's owning shard, so every
+  // drop and every flow counter must match the serial engine.
+  const FleetSpec spec = identity_spec();
+  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 42);
+  auto run = [&](FleetMode mode, std::size_t threads,
+                 std::vector<std::int64_t>& codel_drops) {
+    FleetRunOptions opts;
+    opts.mode = mode;
+    opts.threads = threads;
+    std::vector<LinkConfig> hops = fleet_links(spec);
+    for (LinkConfig& hop : hops) hop.codel = CodelParams{};
+    FleetNetwork net(std::move(hops), fleet_options(spec, 42, opts));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      FleetFlowDef def;
+      def.cca = mixed_classic(static_cast<int>(i));
+      def.start = plans[i].start;
+      def.stop = plans[i].stop;
+      def.byte_budget = plans[i].byte_budget;
+      def.enter_hop = plans[i].enter_hop;
+      def.exit_hop = plans[i].exit_hop;
+      net.add_flow(std::move(def));
+    }
+    net.run();
+    codel_drops.clear();
+    for (int h = 0; h < net.hop_count(); ++h)
+      codel_drops.push_back(net.hop(h).codel_drops());
+    return net.summarize();
+  };
+  std::vector<std::int64_t> base_drops;
+  const FleetSummary base = run(FleetMode::kSerial, 0, base_drops);
+  EXPECT_GT(base.total_throughput_bps, 0.0);
+  for (std::int64_t d : base_drops) EXPECT_GT(d, 0);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    std::vector<std::int64_t> drops;
+    const FleetSummary got = run(FleetMode::kSharded, threads, drops);
+    EXPECT_TRUE(deterministically_equal(base, got))
+        << "CoDel hops diverged at threads=" << threads;
+    EXPECT_EQ(drops, base_drops) << "threads=" << threads;
+  }
+}
+
 TEST(FleetHealthIdentity, ReportIsByteIdenticalSerialVsShardedForClassics) {
   const FleetSpec spec = identity_spec();
   FleetRunOptions serial;

@@ -37,7 +37,7 @@ TEST(Scenario, LteTraceVariesWithSeed) {
 
 TEST(Scenario, StepScenarioMatchesFig2a) {
   Scenario s = step_scenario();
-  EXPECT_EQ(s.min_rtt, msec(80));
+  EXPECT_EQ(s.link.propagation_delay, msec(40));
   auto t = s.make_trace(1);
   // Capacity changes at the 10 s boundary.
   EXPECT_NE(t->rate_at(sec(5)), t->rate_at(sec(15)));
@@ -57,13 +57,13 @@ TEST(Scenario, CanonicalSetsHaveExpectedSizes) {
 TEST(Scenario, WanProfilesDiffer) {
   Scenario inter = wan_inter_continental();
   Scenario intra = wan_intra_continental();
-  EXPECT_GT(inter.min_rtt, intra.min_rtt);
-  EXPECT_GT(inter.stochastic_loss, intra.stochastic_loss);
+  EXPECT_GT(inter.link.propagation_delay, intra.link.propagation_delay);
+  EXPECT_GT(inter.link.stochastic_loss, intra.link.stochastic_loss);
 }
 
 TEST(Scenario, ExtensionProfiles) {
-  EXPECT_GE(satellite_scenario().min_rtt, msec(500));
-  EXPECT_GT(satellite_scenario().stochastic_loss, 0.01);
+  EXPECT_GE(satellite_scenario().link.propagation_delay, msec(250));
+  EXPECT_GT(satellite_scenario().link.stochastic_loss, 0.01);
   EXPECT_EQ(fiveg_scenario().name, "5g");
 }
 
@@ -161,6 +161,42 @@ TEST(Runner, RejectsDurationOffTheGrid) {
   s.duration = msec(2005);
   EXPECT_THROW(run_scenario(s, {{[] { return std::make_unique<NewReno>(); }}}, 1),
                std::invalid_argument);
+}
+
+TEST(Runner, CodelScenarioMatchesHandBuiltNetwork) {
+  // A scenario's queue discipline rides in its LinkConfig: run_scenario over
+  // a CoDel scenario must be the very run a Network over that LinkConfig,
+  // built by hand, produces.
+  Scenario s = wired_scenario(48, msec(30), 600'000);
+  s.duration = sec(10);
+  s.link.codel = CodelParams{};
+  auto ran = run_scenario(s, {{[] { return std::make_unique<Cubic>(); }}}, 1);
+
+  LinkConfig cfg;
+  cfg.capacity = std::make_shared<ConstantTrace>(mbps(48));
+  cfg.buffer_bytes = 600'000;
+  cfg.propagation_delay = msec(15);
+  cfg.seed = 1 ^ 0xABCDEF;
+  cfg.codel = CodelParams{};
+  Network net(cfg);
+  net.add_flow(std::make_unique<Cubic>());
+  net.run_until(s.duration);
+
+  EXPECT_GT(net.link().codel_drops(), 0);
+  EXPECT_EQ(ran->link().codel_drops(), net.link().codel_drops());
+  EXPECT_EQ(ran->link().drops_overflow(), net.link().drops_overflow());
+  EXPECT_EQ(ran->events().processed(), net.events().processed());
+  const Sender& a = ran->flow(0).sender();
+  const Sender& b = net.flow(0).sender();
+  EXPECT_EQ(a.packets_acked(), b.packets_acked());
+  EXPECT_EQ(a.packets_lost(), b.packets_lost());
+  EXPECT_EQ(a.rtt_sum(), b.rtt_sum());
+  const RunSummary want = summarize(net, sec(2), s.duration);
+  const RunSummary got = summarize(*ran, sec(2), s.duration);
+  EXPECT_EQ(got.link_utilization, want.link_utilization);
+  EXPECT_EQ(got.avg_delay_ms, want.avg_delay_ms);
+  EXPECT_EQ(got.total_throughput_bps, want.total_throughput_bps);
+  EXPECT_EQ(got.flows[0].loss_rate, want.flows[0].loss_rate);
 }
 
 TEST(Trainer, EpisodeProducesMetrics) {

@@ -41,7 +41,7 @@ TEST(Integration, LibraOnLteTraceSustainsThroughput) {
 
 TEST(Integration, LibraSurvivesStochasticLoss) {
   Scenario s = wired_scenario(24);
-  s.stochastic_loss = 0.05;
+  s.link.stochastic_loss = 0.05;
   s.duration = sec(20);
   RunSummary libra_sum = run_single(s, tiny_c_libra_factory(), 7);
   RunSummary cubic_sum =
@@ -129,7 +129,7 @@ TEST(Integration, BbrPinsToPolicerRateAndRecoversWhenItLifts) {
   // intervals at base RTT 20 ms, plus loss-detection latency), pin pacing to
   // the policed rate, and let go after the policer lifts.
   Scenario s = policed_wan_scenario(40.0, 10.0, 30 * 1000, sec(2));
-  s.policer_stop = sec(4);
+  s.link.policer_stop = sec(4);
   s.duration = sec(8);
   Network net(s.link_config(11));
   net.add_flow(std::make_unique<Bbr>());

@@ -281,29 +281,6 @@ TEST(FlightRecorder, JsonlFieldsMatchSchema) {
   EXPECT_NE(line.find("\"reason\":\"codel\""), std::string::npos);
 }
 
-TEST(FlightRecorder, CsvSinkWritesHeaderOnce) {
-  auto out = std::make_shared<std::ostringstream>();
-  FlightRecorder rec;
-  rec.enable(2);
-  rec.set_sink(std::make_shared<StreamLineSink>(*out), TraceFormat::kCsv);
-  for (int i = 0; i < 5; ++i) {
-    rec.send(msec(i), 0, static_cast<std::uint64_t>(i), 1500, 0);
-  }
-  rec.flush();
-  std::istringstream in(out->str());
-  std::string first;
-  ASSERT_TRUE(std::getline(in, first));
-  EXPECT_EQ(first, FlightRecorder::csv_header());
-  std::string line;
-  int header_count = 1, data_lines = 0;
-  while (std::getline(in, line)) {
-    if (line == FlightRecorder::csv_header()) ++header_count;
-    else ++data_lines;
-  }
-  EXPECT_EQ(header_count, 1);  // header written once, not per flush
-  EXPECT_EQ(data_lines, 5);
-}
-
 // --- End-to-end: recording a run ---------------------------------------------
 
 std::string read_file(const std::string& path) {

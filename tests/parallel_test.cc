@@ -137,7 +137,7 @@ TEST(ParallelForChunked, NestedOnSamePoolDoesNotDeadlock) {
 std::vector<RunRequest> classic_sweep() {
   Scenario s = wired_scenario(24);
   s.duration = sec(8);
-  s.stochastic_loss = 0.02;  // exercises the per-run RNG path
+  s.link.stochastic_loss = 0.02;  // exercises the per-run RNG path
   std::vector<RunRequest> reqs;
   for (std::uint64_t seed = 100; seed < 106; ++seed) {
     reqs.push_back(RunRequest::single(

@@ -47,7 +47,7 @@ const std::vector<GridPoint>& liveness_grid() {
 
 Scenario liveness_scenario(const GridPoint& g) {
   Scenario s = wired_scenario(24, g.rtt, g.buffer);
-  s.stochastic_loss = g.loss;
+  s.link.stochastic_loss = g.loss;
   s.duration = sec(15);
   return s;
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -316,34 +315,6 @@ TEST(TelemetryExport, JsonlRoundTripsThroughTheJsonParser) {
   EXPECT_TRUE(saw_header);
   // 1 flow x 7 columns + 1 queue x 4 columns.
   EXPECT_EQ(series_lines, 11);
-}
-
-TEST(TelemetryExport, BinaryDumpHasMagicAndDeclaredShape) {
-  Scenario s = wired_scenario(12);
-  s.duration = sec(2);
-  ObsOptions obs;
-  obs.telemetry.enabled = true;
-  obs.telemetry.config.sample_interval = msec(5);
-  auto net = run_scenario(
-      s, {{[] { return std::make_unique<Cubic>(); }}}, 3, obs);
-
-  std::ostringstream os(std::ios::binary);
-  net->telemetry().write_binary(os);
-  std::string blob = os.str();
-  ASSERT_GE(blob.size(), 8u + 8u + 4u * 4u);
-  EXPECT_EQ(blob.substr(0, 8), "LTLM0001");
-  std::int64_t interval = 0;
-  std::memcpy(&interval, blob.data() + 8, sizeof(interval));
-  EXPECT_EQ(interval, msec(5));
-  std::uint32_t flows = 0, queues = 0, fcols = 0, qcols = 0;
-  std::memcpy(&flows, blob.data() + 16, 4);
-  std::memcpy(&queues, blob.data() + 20, 4);
-  std::memcpy(&fcols, blob.data() + 24, 4);
-  std::memcpy(&qcols, blob.data() + 28, 4);
-  EXPECT_EQ(flows, 1u);
-  EXPECT_EQ(queues, 1u);
-  EXPECT_EQ(fcols, Telemetry::kFlowColumns);
-  EXPECT_EQ(qcols, Telemetry::kQueueColumns);
 }
 
 // --- Libra integration ------------------------------------------------------

@@ -7,16 +7,15 @@
 //
 //   record_run [--out=trace.jsonl] [--cca=cubic|bbr|libra] [--rate=MBPS]
 //              [--duration=SECS] [--seed=N] [--flows=N] [--meta] [--profile]
-//              [--no-trace] [--telemetry=FILE.jsonl] [--telemetry-bin=FILE.bin]
-//              [--sample-ms=MS]
+//              [--no-trace] [--telemetry=FILE.jsonl] [--sample-ms=MS]
 //
 // --meta appends the end-of-run "run" metadata event (wall/sim time) to the
 // trace; off by default so default traces stay byte-identical per seed.
 // --profile enables the in-process profiler and prints its call-tree report
 // to stderr after the run.
 // --no-trace disables the flight recorder entirely (telemetry-only runs and
-// clean overhead measurements). --telemetry/--telemetry-bin enable the
-// columnar sampler and dump it post-run; --sample-ms sets its interval.
+// clean overhead measurements). --telemetry enables the columnar sampler and
+// dumps it post-run as JSONL; --sample-ms sets its interval.
 // stderr always reports events processed and events/s, so overhead of the
 // sampler is measurable by diffing two invocations.
 // Numeric values are parsed strictly (flag_parse.h): --rate and --sample-ms
@@ -43,8 +42,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: record_run [--out=trace.jsonl] [--cca=cubic|bbr|libra] "
     "[--rate=MBPS] [--duration=SECS] [--seed=N] [--flows=N] [--meta] "
-    "[--profile] [--no-trace] [--telemetry=FILE.jsonl] "
-    "[--telemetry-bin=FILE.bin] [--sample-ms=MS]\n";
+    "[--profile] [--no-trace] [--telemetry=FILE.jsonl] [--sample-ms=MS]\n";
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
   using namespace libra;
   std::string out_path = "trace.jsonl";
   std::string telemetry_path;
-  std::string telemetry_bin_path;
   std::string cca = "cubic";
   double rate_mbps = 48;
   SimDuration duration = sec(5);
@@ -81,8 +78,6 @@ int main(int argc, char** argv) {
       ok = parse_int(argv[i] + 8, 1, std::numeric_limits<int>::max(), n_flows);
     } else if (a.rfind("--telemetry=", 0) == 0) {
       telemetry_path = std::string(a.substr(12));
-    } else if (a.rfind("--telemetry-bin=", 0) == 0) {
-      telemetry_bin_path = std::string(a.substr(16));
     } else if (a.rfind("--sample-ms=", 0) == 0) {
       // At least the simulator clock's 1 us resolution.
       ok = parse_real(argv[i] + 12, 1e-3, kInf, sample_ms);
@@ -124,12 +119,11 @@ int main(int argc, char** argv) {
   obs.record = trace;
   if (trace) obs.trace_path = out_path;
   obs.trace_meta = meta;
-  if (!telemetry_path.empty() || !telemetry_bin_path.empty()) {
+  if (!telemetry_path.empty()) {
     obs.telemetry.enabled = true;
     obs.telemetry.config.sample_interval =
         std::max<SimDuration>(1, static_cast<SimDuration>(sample_ms * 1000.0));
     obs.telemetry.jsonl_path = telemetry_path;
-    obs.telemetry.binary_path = telemetry_bin_path;
   }
 
   std::vector<FlowSpec> flows;
