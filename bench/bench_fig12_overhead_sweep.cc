@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         std::find(ccas.begin(), ccas.end(), n) - ccas.begin());
   };
   Table red({"vs", "c-libra reduction"});
-  for (const std::string& other : {"orca", "indigo", "copa", "proteus"}) {
+  for (const char* other : {"orca", "indigo", "copa", "proteus"}) {
     double r = 1.0 - avgs[idx("c-libra")] / std::max(1e-12, avgs[idx(other)]);
     red.add_row({other, fmt_pct(r, 0)});
   }

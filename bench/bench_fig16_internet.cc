@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     CcaFactory factory;
   };
   std::vector<Entry> entries;
-  for (const std::string& n : {"proteus", "bbr", "cubic", "orca"})
+  for (const char* n : {"proteus", "bbr", "cubic", "orca"})
     entries.push_back({n, zoo().factory(n)});
   entries.push_back({"c-libra(th)", libra_variant(false, throughput_oriented(1))});
   entries.push_back({"c-libra(la)", libra_variant(false, latency_oriented(1))});

@@ -26,7 +26,7 @@ int main() {
   link.duration = sec(30);
 
   Table table({"cca", "throughput", "link util", "avg delay", "loss"});
-  for (const std::string& name : {"cubic", "c-libra"}) {
+  for (const char* name : {"cubic", "c-libra"}) {
     RunSummary run = run_single(link, zoo.factory(name), /*seed=*/1);
     table.add_row({name, fmt(run.total_throughput_bps / 1e6) + " Mbps",
                    fmt_pct(run.link_utilization),

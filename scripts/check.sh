@@ -265,11 +265,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DLIBRA_SANITIZE=thread >/dev/null
   # The determinism/engine tests are the ones that exercise cross-thread
   # sharing (frozen brains, the pool, run_many, parallel rollout collection,
-  # concurrent metrics merges, logger sinks, and the profiler's thread-local
+  # concurrent metrics merges, trace sinks, and the profiler's thread-local
   # trees + report-time merge); building the whole tree under TSan is
   # unnecessary for the guarantee and triples the cycle time.
-  cmake --build build-tsan -j "$JOBS" --target parallel_test multiflow_train_test sim_test util_test obs_test telemetry_test profiler_test rl_test fleet_test
-  (cd build-tsan && ./tests/parallel_test && ./tests/multiflow_train_test && ./tests/sim_test && ./tests/util_test && ./tests/obs_test && ./tests/telemetry_test && ./tests/profiler_test && ./tests/rl_test && ./tests/fleet_test)
+  cmake --build build-tsan -j "$JOBS" --target parallel_test sim_test util_test obs_test telemetry_test profiler_test rl_test fleet_test
+  (cd build-tsan && ./tests/parallel_test && ./tests/sim_test && ./tests/util_test && ./tests/obs_test && ./tests/telemetry_test && ./tests/profiler_test && ./tests/rl_test && ./tests/fleet_test)
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

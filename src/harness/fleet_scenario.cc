@@ -123,7 +123,6 @@ FleetOptions fleet_options(const FleetSpec& spec, std::uint64_t seed,
   opts.warmup = spec.warmup;
   opts.seed = seed;
   opts.sender.tick_interval = run.tick_interval;
-  opts.sender.ecn_capable = spec.ecn_threshold_bytes > 0 || spec.policer_marks;
   return opts;
 }
 
@@ -133,7 +132,7 @@ FleetSummary run_fleet(
     std::uint64_t seed, const FleetRunOptions& run, FleetObsResult* obs) {
   std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, seed);
   FleetNetwork net(fleet_links(spec), fleet_options(spec, seed, run));
-  if (run.health) net.enable_health(run.health_config.stats);
+  if (run.health) net.enable_health();
   if (run.record_capacity > 0) net.enable_recording(run.record_capacity);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     FleetFlowDef def;
@@ -149,7 +148,7 @@ FleetSummary run_fleet(
   if (obs) {
     obs->shard_events = net.shard_event_counts();
     if (run.health)
-      obs->health = analyze_health(net.health()->timeline(), run.health_config);
+      obs->health = analyze_health(net.health()->timeline());
     if (const FlightRecorder* rec = net.recorder()) {
       obs->trace_recorded = rec->recorded();
       obs->trace_overwritten = rec->overwritten();

@@ -67,8 +67,8 @@ struct FleetSpec {
   int sender_shards = 0;
   FleetChurnSpec churn;
 
-  /// Datacenter & policed-path knobs (see sim/link.h for semantics). An
-  /// ecn_threshold > 0 also makes every sender ECN-capable, so the marks
+  /// Datacenter & policed-path knobs (see sim/link.h for semantics). A hop
+  /// that marks makes every sender ECN-capable (FleetNetwork), so the marks
   /// actually reach the CCAs; the policer applies to every hop of the chain
   /// (the canonical policed specs are single-bottleneck anyway).
   std::int64_t ecn_threshold_bytes = 0;
@@ -108,11 +108,10 @@ struct FleetRunOptions {
   FleetMode mode = FleetMode::kSerial;
   std::size_t threads = 0;
   SimDuration tick_interval = msec(10);
-  /// Streaming windowed health stats + anomaly detection; works under both
-  /// engines and never perturbs the run. Read the report back through the
-  /// FleetObsResult out-parameter of run_fleet.
+  /// Streaming windowed health stats + anomaly detection with the default
+  /// HealthConfig; works under both engines and never perturbs the run. Read
+  /// the report back through the FleetObsResult out-parameter of run_fleet.
   bool health = false;
-  HealthConfig health_config;
   /// >0: black-box FlightRecorder ring of this many events (bounded memory,
   /// oldest overwritten). Serial mode only.
   std::size_t record_capacity = 0;

@@ -52,7 +52,6 @@ std::vector<RunSummary> run_many(const std::vector<RunRequest>& requests,
     }
   }
   parallel_for_chunked(pool, 0, requests.size(), 1, [&](std::size_t i) {
-    if (options.cancel && options.cancel->load(std::memory_order_relaxed)) return;
     const RunRequest& req = requests[i];
     auto t0 = std::chrono::steady_clock::now();
     auto net = run_scenario(req.scenario, req.flows, req.seed, req.obs);

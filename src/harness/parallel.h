@@ -13,7 +13,6 @@
 // environment variable, else uses every hardware thread.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <vector>
 
@@ -69,10 +68,6 @@ struct RunManyOptions {
   /// callback never runs concurrently with itself. `done`/`total` count runs;
   /// the flow-seconds fields weight progress by simulated work.
   std::function<void(const RunProgress&)> on_progress;
-  /// Cooperative cancellation: when *cancel becomes true, runs that have not
-  /// started are skipped (their result slots keep the default RunSummary,
-  /// recognizable by empty .flows). In-flight runs finish normally.
-  std::atomic<bool>* cancel = nullptr;
   /// When set, each run's metrics registry — plus a "runs" counter and a
   /// "run_wall_ms" histogram of per-run wall time — is merged here. merge()
   /// locks the destination, so workers aggregate safely.

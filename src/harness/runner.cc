@@ -29,10 +29,7 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
   }
   if (obs.telemetry.enabled) net->telemetry().enable(obs.telemetry.config);
   for (const FlowSpec& spec : flows) {
-    SenderConfig base;
-    base.ecn_capable = scenario.ecn_enabled();
-    net->add_flow(spec.make_cca(), spec.start, spec.stop, spec.extra_ack_delay,
-                  base);
+    net->add_flow(spec.make_cca(), spec.start, spec.stop, spec.extra_ack_delay);
   }
   net->run_until(scenario.duration);
   net->finalize_metrics();

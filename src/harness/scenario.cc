@@ -157,15 +157,6 @@ Scenario fiveg_scenario() {
   return s;
 }
 
-Scenario datacenter_ecn_scenario(double rate_mbps, SimDuration min_rtt,
-                                 std::int64_t ecn_threshold_bytes) {
-  Scenario s = wired_scenario(rate_mbps, min_rtt, 900 * 1000);
-  s.name = "dc-ecn-" + std::to_string(static_cast<int>(rate_mbps));
-  s.link.ecn_threshold_bytes = ecn_threshold_bytes;
-  s.duration = sec(30);
-  return s;
-}
-
 Scenario policed_wan_scenario(double rate_mbps, double policer_rate_mbps,
                               std::int64_t burst_bytes, SimTime policer_start) {
   Scenario s = wired_scenario(rate_mbps, msec(20));

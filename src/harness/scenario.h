@@ -31,13 +31,6 @@ struct Scenario {
   /// Nominal mean capacity (for reporting normalization).
   RateBps nominal_rate = 0;
 
-  /// An ECN threshold or a marking policer makes the scenario ECN-enabled;
-  /// run_scenario stamps every flow's packets ECT so the marks reach the
-  /// CCAs.
-  bool ecn_enabled() const {
-    return link.ecn_threshold_bytes > 0 || link.policer_marks;
-  }
-
   LinkConfig link_config(std::uint64_t seed) const {
     LinkConfig cfg = link;
     cfg.capacity = make_trace(seed);
@@ -75,12 +68,6 @@ Scenario wan_intra_continental();
 /// and 5G-like (abrupt large capacity fluctuation).
 Scenario satellite_scenario();
 Scenario fiveg_scenario();
-
-/// Datacenter path: fast wired bottleneck, short RTT, ECN step marking at
-/// `ecn_threshold_bytes` (DCTCP's switch model). Pair with the dctcp CCA.
-Scenario datacenter_ecn_scenario(double rate_mbps = 960,
-                                 SimDuration min_rtt = msec(2),
-                                 std::int64_t ecn_threshold_bytes = 45 * 1000);
 
 /// Adversarial WAN path: the access link is fast but an ISP token-bucket
 /// policer caps the flow at `policer_rate_mbps` from `policer_start` on —

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 
-#include "classic/bbr.h"
-#include "classic/cubic.h"
-#include "core/libra.h"
 #include "learned/orca.h"
 #include "learned/rl_cca.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
-#include "stats/fairness.h"
 
 namespace libra {
 
@@ -38,115 +34,9 @@ Scenario Trainer::sample_env(std::uint64_t& run_seed) {
   return env;
 }
 
-std::vector<Trainer::CompetitorSpec> Trainer::sample_competitors(
-    const RlBrain* brain) {
-  const CompetitorMix& mix = ranges_.competitors;
-  if (mix.max_flows <= 0) return {};  // consume no draws: legacy RNG stream
-  if (mix.min_flows < 0 || mix.min_flows > mix.max_flows)
-    throw std::invalid_argument("CompetitorMix: bad [min_flows, max_flows]");
-  const double total = mix.w_cubic + mix.w_bbr + mix.w_self;
-  if (total <= 0)
-    throw std::invalid_argument("CompetitorMix: kind weights sum to zero");
-  if (mix.duty_on <= 0.0 || mix.duty_on > 1.0)
-    throw std::invalid_argument("CompetitorMix: duty_on must be in (0, 1]");
-  const bool duty_cycled = mix.duty_on < 1.0;
-  if (duty_cycled && (mix.period_lo <= 0 || mix.period_hi < mix.period_lo))
-    throw std::invalid_argument("CompetitorMix: bad [period_lo, period_hi]");
-
-  const int n = static_cast<int>(rng_.uniform_int(mix.min_flows, mix.max_flows));
-  std::vector<CompetitorSpec> specs;
-  specs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    CompetitorSpec spec;
-    const double u = rng_.uniform(0.0, total);
-    if (u < mix.w_cubic) {
-      spec.kind = CompetitorKind::kCubic;
-    } else if (u < mix.w_cubic + mix.w_bbr) {
-      spec.kind = CompetitorKind::kBbr;
-    } else {
-      spec.kind = CompetitorKind::kSelf;
-    }
-    spec.start = mix.max_stagger > 0 ? rng_.uniform_int(0, mix.max_stagger) : 0;
-    if (duty_cycled) {
-      // Period drawn per competitor on the same serial stream as everything
-      // else; always-on mixes (duty_on == 1.0) take this branch never, so
-      // they consume zero extra draws and legacy streams stay bit-identical.
-      spec.period = rng_.uniform_int(mix.period_lo, mix.period_hi);
-      spec.duty_on = mix.duty_on;
-    }
-    if (spec.kind == CompetitorKind::kSelf) {
-      if (!brain)
-        throw std::invalid_argument(
-            "Trainer: self-play competitors (w_self > 0) require "
-            "train_parallel, which holds the brain to snapshot");
-      // Frozen snapshot of the current policy: own RNG stream (drawn here, on
-      // the main thread), collect_only so it can never update, and a frozen-
-      // reference normalizer. Its transitions and normalizer delta are
-      // discarded at episode end — only the learner teaches the master brain.
-      PpoConfig cfg = brain->agent.config();
-      cfg.seed = static_cast<std::uint64_t>(rng_.uniform_int(1, 1'000'000'000));
-      cfg.collect_only = true;
-      spec.self_brain =
-          std::make_shared<RlBrain>(std::move(cfg), brain->normalizer.dim());
-      spec.self_brain->agent.copy_parameters_from(brain->agent);
-      spec.self_brain->normalizer = brain->normalizer;
-      spec.self_brain->normalizer.begin_delta_collection();
-    }
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
 EpisodeStats Trainer::run_in_env(const Scenario& env, const CcaFactory& make_cca,
-                                 std::uint64_t run_seed,
-                                 const std::vector<CompetitorSpec>& competitors,
-                                 const BrainBoundFactory* self_factory) {
-  std::vector<FlowSpec> flows;
-  flows.reserve(1 + competitors.size());
-  flows.push_back({make_cca});  // the learner is always flow 0
-  for (const CompetitorSpec& c : competitors) {
-    CcaFactory factory;
-    switch (c.kind) {
-      case CompetitorKind::kCubic:
-        factory = [] { return std::make_unique<Cubic>(); };
-        break;
-      case CompetitorKind::kBbr:
-        factory = [] { return std::make_unique<Bbr>(); };
-        break;
-      case CompetitorKind::kSelf: {
-        if (!self_factory)
-          throw std::invalid_argument(
-              "Trainer: self-play competitor without a brain-bound factory");
-        std::shared_ptr<RlBrain> snapshot = c.self_brain;
-        const BrainBoundFactory& make = *self_factory;
-        factory = [snapshot, &make] { return make(snapshot); };
-        break;
-      }
-    }
-    if (c.period <= 0 || c.duty_on >= 1.0) {
-      // Always-on: the legacy single-window realization.
-      FlowSpec f;
-      f.make_cca = std::move(factory);
-      f.start = c.start;
-      flows.push_back(std::move(f));
-      continue;
-    }
-    // Duty-cycled: one flow per on-window, so the learner sees this
-    // competitor's traffic arrive and depart every period. A fresh CCA
-    // instance per window (restarting from slow start) is the behaviour of
-    // real on/off cross traffic — short downloads, ABR video chunks.
-    const SimDuration on = static_cast<SimDuration>(
-        static_cast<double>(c.period) * c.duty_on);
-    if (on <= 0) continue;
-    for (SimTime t = c.start; t < env.duration; t += c.period) {
-      FlowSpec f;
-      f.make_cca = factory;
-      f.start = t;
-      f.stop = std::min<SimTime>(t + on, env.duration);
-      flows.push_back(std::move(f));
-    }
-  }
-  auto net = run_scenario(env, flows, run_seed);
+                                 std::uint64_t run_seed) {
+  auto net = run_scenario(env, {{make_cca}}, run_seed);
 
   EpisodeStats stats;
   RunSummary sum = summarize(*net, 0, env.duration);
@@ -154,14 +44,6 @@ EpisodeStats Trainer::run_in_env(const Scenario& env, const CcaFactory& make_cca
   stats.avg_rtt_ms = sum.flows.front().avg_rtt_ms;
   stats.loss_rate = sum.flows.front().loss_rate;
   stats.link_utilization = sum.link_utilization;
-  stats.competitors = static_cast<int>(competitors.size());
-  stats.learner_throughput_bps = sum.flows.front().throughput_bps;
-  if (sum.flows.size() > 1) {
-    std::vector<double> rates;
-    rates.reserve(sum.flows.size());
-    for (const FlowSummary& f : sum.flows) rates.push_back(f.throughput_bps);
-    stats.fairness = jain_index(rates);
-  }
   if (auto r = episode_reward_of(net->flow(0).sender().cca())) {
     stats.reward = r->first;
     stats.steps = r->second;
@@ -172,8 +54,7 @@ EpisodeStats Trainer::run_in_env(const Scenario& env, const CcaFactory& make_cca
 EpisodeStats Trainer::run_episode(const CcaFactory& make_cca) {
   std::uint64_t run_seed = 0;
   Scenario env = sample_env(run_seed);
-  std::vector<CompetitorSpec> competitors = sample_competitors(nullptr);
-  return run_in_env(env, make_cca, run_seed, competitors);
+  return run_in_env(env, make_cca, run_seed);
 }
 
 void Trainer::emit_episode(int index, const EpisodeStats& stats) {
@@ -189,9 +70,6 @@ void Trainer::emit_episode(int index, const EpisodeStats& stats) {
   w.key("avg_rtt_ms").value(stats.avg_rtt_ms);
   w.key("loss_rate").value(stats.loss_rate);
   w.key("link_utilization").value(stats.link_utilization);
-  w.key("competitors").value(static_cast<std::int64_t>(stats.competitors));
-  w.key("learner_throughput_bps").value(stats.learner_throughput_bps);
-  w.key("fairness").value(stats.fairness);
   w.end_object();
   telemetry_->write_line(line);
 }
@@ -216,7 +94,6 @@ std::vector<EpisodeStats> Trainer::train_parallel(
     Scenario env;
     std::uint64_t run_seed = 0;
     std::shared_ptr<RlBrain> collector;
-    std::vector<CompetitorSpec> competitors;
     EpisodeStats stats;
     std::vector<PpoTransition> rollout;
     RunningNormalizer norm_delta{1};
@@ -259,7 +136,6 @@ std::vector<EpisodeStats> Trainer::train_parallel(
     // depends on the pool's thread count.
     for (EpisodeJob& job : jobs) {
       job.env = sample_env(job.run_seed);
-      job.competitors = sample_competitors(brain.get());
       PpoConfig cfg = brain->agent.config();
       cfg.seed = static_cast<std::uint64_t>(rng_.uniform_int(1, 1'000'000'000));
       cfg.collect_only = true;
@@ -277,7 +153,7 @@ std::vector<EpisodeStats> Trainer::train_parallel(
       EpisodeJob& job = jobs[i];
       job.stats = run_in_env(
           job.env, [&job, &make_cca] { return make_cca(job.collector); },
-          job.run_seed, job.competitors, &make_cca);
+          job.run_seed);
       job.rollout = job.collector->agent.take_transitions(/*mark_final_done=*/true);
       job.norm_delta = job.collector->normalizer.take_delta();
     });

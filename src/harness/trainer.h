@@ -39,51 +39,21 @@
 
 namespace libra {
 
-/// What a training episode's learner shares its bottleneck with. A flow kind
-/// is drawn per competitor with the given weights; kSelf plays a frozen
-/// snapshot of the current policy against the learner (self-play), which
-/// requires train_parallel (the serial path has no brain handle to clone).
-enum class CompetitorKind { kCubic, kBbr, kSelf };
-
-struct CompetitorMix {
-  /// Competitors per episode, drawn uniformly from [min_flows, max_flows].
-  /// The default (0, 0) reproduces single-flow training exactly — including
-  /// its RNG stream, since no competitor draws are consumed.
-  int min_flows = 0, max_flows = 0;
-  double w_cubic = 1.0, w_bbr = 1.0, w_self = 0.0;  // kind weights
-  /// Competitor start times are staggered uniformly over [0, max_stagger] so
-  /// the learner sees both empty-link startup and late-joiner dynamics.
-  SimDuration max_stagger = sec(1);
-  /// On/off duty cycling: the fraction of each on/off period a competitor
-  /// spends sending. The default 1.0 keeps competitors on for their whole
-  /// lifetime and consumes zero extra RNG draws, so legacy training streams
-  /// stay bit-identical. For 0 < duty_on < 1 each competitor draws its period
-  /// from [period_lo, period_hi] on the serial trainer stream and is realized
-  /// as one flow per on-window, so the learner sees bursty departures and
-  /// arrivals of cross traffic mid-episode.
-  double duty_on = 1.0;
-  SimDuration period_lo = sec(1), period_hi = sec(2);
-};
-
 struct TrainEnvRanges {
   double capacity_lo_mbps = 10, capacity_hi_mbps = 200;
   SimDuration rtt_lo = msec(10), rtt_hi = msec(200);
   std::int64_t buffer_lo = 10 * 1000, buffer_hi = 5 * 1000 * 1000;
   double loss_lo = 0.0, loss_hi = 0.10;
   SimDuration episode_length = sec(6);
-  CompetitorMix competitors;
 };
 
 struct EpisodeStats {
   double reward = 0;       // cumulative agent reward over the episode
   int steps = 0;           // agent decisions taken
   double throughput_bps = 0;
-  double avg_rtt_ms = 0;   // learner flow
-  double loss_rate = 0;    // learner flow
+  double avg_rtt_ms = 0;
+  double loss_rate = 0;
   double link_utilization = 0;
-  int competitors = 0;               // flows sharing the bottleneck
-  double learner_throughput_bps = 0; // flow 0 alone (== throughput_bps solo)
-  double fairness = 1.0;             // Jain index over all flows (1.0 solo)
 };
 
 /// Builds a controller bound to the given brain (training mode on) — the
@@ -124,29 +94,9 @@ class Trainer {
   }
 
  private:
-  /// One competitor flow of an episode plan, fully realized on the main
-  /// thread (kind, staggered start, and — for self-play — the frozen policy
-  /// snapshot it runs), so episode workers consume no shared randomness.
-  struct CompetitorSpec {
-    CompetitorKind kind = CompetitorKind::kCubic;
-    SimTime start = 0;
-    /// On/off duty cycle (period drawn on the trainer stream); period == 0
-    /// means always-on, the legacy single-window realization.
-    SimDuration period = 0;
-    double duty_on = 1.0;
-    std::shared_ptr<RlBrain> self_brain;  // kSelf only
-  };
-
   Scenario sample_env(std::uint64_t& run_seed);
-  /// Draws this episode's competitor flows from the trainer RNG (consumes no
-  /// draws when the mix is empty). `brain` is the master policy to snapshot
-  /// for kSelf competitors; pass nullptr on the serial path, where drawing
-  /// kSelf is an error.
-  std::vector<CompetitorSpec> sample_competitors(const RlBrain* brain);
   EpisodeStats run_in_env(const Scenario& env, const CcaFactory& make_cca,
-                          std::uint64_t run_seed,
-                          const std::vector<CompetitorSpec>& competitors = {},
-                          const BrainBoundFactory* self_factory = nullptr);
+                          std::uint64_t run_seed);
   void emit_episode(int index, const EpisodeStats& stats);
 
   TrainEnvRanges ranges_;

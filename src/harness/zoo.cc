@@ -48,20 +48,6 @@ std::shared_ptr<RlBrain> CcaZoo::brain(const std::string& family) {
   return brain;
 }
 
-std::vector<std::string> CcaZoo::brain_families() {
-  return {"libra-rl", "modified-rl", "aurora", "orca"};
-}
-
-void CcaZoo::train_all(ThreadPool& pool) {
-  const std::vector<std::string> families = brain_families();
-  // Chunked so the caller participates: each family's train_parallel nests
-  // rollout fan-out on the same pool without risk of starving it.
-  parallel_for_chunked(pool, 0, families.size(), 1,
-                       [&](std::size_t i) { brain(families[i]); });
-}
-
-void CcaZoo::train_all() { train_all(default_pool()); }
-
 std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
   PpoConfig ppo;
   std::size_t frame_dim = 0;
@@ -92,10 +78,8 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
       return make_aurora(b, /*training=*/true);
     };
   } else if (family == "orca") {
+    ppo = orca_ppo_config(config_.seed + 3, hidden);
     frame_dim = feature_frame_size(orca_state_space());
-    ppo.state_dim = frame_dim * 8;
-    ppo.hidden = hidden;
-    ppo.seed = config_.seed + 3;
     train_factory = [](const std::shared_ptr<RlBrain>& b) {
       OrcaParams p;
       p.training = true;
@@ -126,7 +110,6 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
   // the Libra-paper env randomizes loss up to 10%, which is pure reward noise
   // for an agent that cannot influence it.
   TrainEnvRanges ranges;
-  ranges.competitors = config_.train_competitors;
   if (family == "aurora") ranges.loss_hi = 0.05;
 
   std::shared_ptr<RlBrain> brain = make_brain();

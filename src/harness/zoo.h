@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "harness/runner.h"
-#include "harness/trainer.h"
 #include "learned/rl_cca.h"
-#include "util/thread_pool.h"
 
 namespace libra {
 
@@ -34,10 +32,6 @@ struct ZooConfig {
   /// `<brain_dir>/<family>.train.jsonl` while training. Needs brain_dir;
   /// pure observation — the trained weights are identical either way.
   bool train_telemetry = true;
-  /// Competitor flows sharing the training bottleneck (see CompetitorMix).
-  /// Default off, reproducing single-flow training bit-for-bit; training with
-  /// competitors is what teaches the paper's fairness behaviour (Sec. 5).
-  CompetitorMix train_competitors;
 };
 
 class CcaZoo {
@@ -56,16 +50,6 @@ class CcaZoo {
   /// Trained (or loading/cached) brain for a learned family:
   /// "libra-rl", "aurora", "orca", "modified-rl".
   std::shared_ptr<RlBrain> brain(const std::string& family);
-
-  /// The learned families brain() understands.
-  static std::vector<std::string> brain_families();
-
-  /// Trains (or loads) every brain family, fanning the independent trainings
-  /// across `pool`. Each family owns its brain and a private Trainer seeded
-  /// from the zoo config, so the result is bitwise-identical to training the
-  /// families one after another.
-  void train_all(ThreadPool& pool);
-  void train_all();
 
   const ZooConfig& config() const { return config_; }
 

@@ -27,12 +27,6 @@ inline RlCcaConfig aurora_config() {
   return cfg;
 }
 
-inline std::shared_ptr<RlBrain> make_aurora_brain(std::uint64_t seed = 11) {
-  RlCcaConfig cfg = aurora_config();
-  return std::make_shared<RlBrain>(make_ppo_config(cfg, seed),
-                                   feature_frame_size(cfg.features));
-}
-
 inline std::unique_ptr<RlCca> make_aurora(std::shared_ptr<RlBrain> brain,
                                           bool training = true) {
   RlCcaConfig cfg = aurora_config();

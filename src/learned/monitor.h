@@ -9,8 +9,7 @@
 
 #include <vector>
 
-#include "rl/matrix_simd.h"
-#include "rl/simd.h"
+#include "rl/matrix.h"
 #include "sim/congestion_control.h"
 #include "util/ewma.h"
 
@@ -101,25 +100,13 @@ class MiCollector {
  private:
   /// Least-squares slope of (time, RTT); both in seconds, so dimensionless.
   double rtt_slope() const {
-    std::size_t n = rtt_samples_.size();
-    if (n < 2) return 0.0;
-    if (simd::use_avx2()) {
-      static_assert(sizeof(RttSample) == 2 * sizeof(double));
-      return simd::ls_slope_avx2(&rtt_samples_.front().t, n);
-    }
-    double mt = 0, mr = 0;
-    for (auto& s : rtt_samples_) { mt += s.t; mr += s.rtt; }
-    mt /= static_cast<double>(n);
-    mr /= static_cast<double>(n);
-    double num = 0, den = 0;
-    for (auto& s : rtt_samples_) {
-      num += (s.t - mt) * (s.rtt - mr);
-      den += (s.t - mt) * (s.t - mt);
-    }
-    return den > 1e-12 ? num / den : 0.0;
+    return ls_slope(reinterpret_cast<const double*>(rtt_samples_.data()),
+                    rtt_samples_.size());
   }
 
+  // Two packed doubles: the interleaved {t, y} layout ls_slope scans.
   struct RttSample { double t; double rtt; };
+  static_assert(sizeof(RttSample) == 2 * sizeof(double));
 
   SimTime mi_start_ = 0;
   int sends_ = 0, acks_ = 0, losses_ = 0;

@@ -16,11 +16,17 @@ std::vector<StateFeature> orca_state_space() {
           StateFeature::kDeliveryRate};
 }
 
-std::shared_ptr<RlBrain> make_orca_brain(std::uint64_t seed) {
+PpoConfig orca_ppo_config(std::uint64_t seed, std::vector<std::size_t> hidden) {
   PpoConfig ppo;
   ppo.state_dim = feature_frame_size(orca_state_space()) * kOrcaHistory;
+  ppo.hidden = std::move(hidden);
   ppo.seed = seed;
-  return std::make_shared<RlBrain>(ppo, feature_frame_size(orca_state_space()));
+  return ppo;
+}
+
+std::shared_ptr<RlBrain> make_orca_brain(std::uint64_t seed) {
+  return std::make_shared<RlBrain>(orca_ppo_config(seed),
+                                   feature_frame_size(orca_state_space()));
 }
 
 Orca::Orca(OrcaParams params, std::shared_ptr<RlBrain> brain)

@@ -34,6 +34,10 @@ struct OrcaParams {
 /// State features Orca reports to its agent (Tab. 1 rows ii, iv, vi, vii, ix).
 std::vector<StateFeature> orca_state_space();
 
+/// PPO config for Orca's agent: its feature frame stacked over Orca's history.
+PpoConfig orca_ppo_config(std::uint64_t seed,
+                          std::vector<std::size_t> hidden = {64, 64});
+
 /// Builds a brain with the dimensionality Orca's feature set requires.
 std::shared_ptr<RlBrain> make_orca_brain(std::uint64_t seed = 13);
 

@@ -36,46 +36,6 @@ PpoConfig make_ppo_config(const RlCcaConfig& cfg, std::uint64_t seed,
   return ppo;
 }
 
-BatchedPolicyEval::BatchedPolicyEval(std::shared_ptr<const RlBrain> brain,
-                                     std::size_t max_batch)
-    : brain_(std::move(brain)), max_batch_(max_batch) {
-  if (!brain_) throw std::invalid_argument("BatchedPolicyEval: null brain");
-  if (max_batch_ == 0)
-    throw std::invalid_argument("BatchedPolicyEval: max_batch must be > 0");
-  if (brain_->agent.config().state_dim % brain_->normalizer.dim() != 0)
-    throw std::invalid_argument(
-        "BatchedPolicyEval: state_dim is not a whole number of frames");
-  brain_->agent.configure_policy_workspace(ws_, max_batch_);
-}
-
-void BatchedPolicyEval::evaluate(const std::vector<Vector>& raw_states,
-                                 Vector& out) {
-  const std::size_t state_dim = brain_->agent.config().state_dim;
-  const std::size_t frame = brain_->normalizer.dim();
-  frame_scratch_.resize(frame);
-  out.resize(raw_states.size());
-  for (std::size_t base = 0; base < raw_states.size(); base += max_batch_) {
-    const std::size_t n = std::min(max_batch_, raw_states.size() - base);
-    ws_.set_batch(n);
-    Matrix& in = ws_.input();
-    for (std::size_t r = 0; r < n; ++r) {
-      const Vector& s = raw_states[base + r];
-      if (s.size() != state_dim)
-        throw std::invalid_argument("BatchedPolicyEval: state dim mismatch");
-      // The state is `history` stacked feature frames; the same per-frame
-      // statistics normalize every frame (matching RlCca::build_frame).
-      double* row = in.data().data() + r * state_dim;
-      for (std::size_t off = 0; off < state_dim; off += frame) {
-        frame_scratch_.assign(s.begin() + static_cast<std::ptrdiff_t>(off),
-                              s.begin() + static_cast<std::ptrdiff_t>(off + frame));
-        brain_->normalizer.normalize_into(frame_scratch_, row + off);
-      }
-    }
-    brain_->agent.act_greedy_batch(ws_, chunk_out_);
-    std::copy(chunk_out_.begin(), chunk_out_.end(), out.begin() + base);
-  }
-}
-
 void save_brain(const RlBrain& brain, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("save_brain: cannot open " + path);

@@ -94,35 +94,6 @@ struct RlBrain {
   RunningNormalizer normalizer;
 };
 
-/// Batched greedy inference over a shared brain: normalizes raw state frames
-/// and runs them through the actor as one matrix per layer, chunked at
-/// `max_batch`. Bitwise identical to per-state act_greedy, but each weight
-/// matrix is traversed once per chunk instead of once per state — the win the
-/// paper's 512-unit-wide deployments need (a 512x512 layer is 2 MB, so the
-/// per-state path is memory-bound on weight streaming).
-///
-/// Read-only with respect to the brain; one instance per thread (the
-/// workspace is mutable scratch).
-class BatchedPolicyEval {
- public:
-  BatchedPolicyEval(std::shared_ptr<const RlBrain> brain,
-                    std::size_t max_batch = 256);
-
-  /// Greedy policy means for `raw_states` (raw, un-normalized frames of the
-  /// brain's state_dim), written to `out` (resized to match). States beyond
-  /// max_batch are processed in max_batch-sized chunks.
-  void evaluate(const std::vector<Vector>& raw_states, Vector& out);
-
-  std::size_t max_batch() const { return max_batch_; }
-
- private:
-  std::shared_ptr<const RlBrain> brain_;
-  std::size_t max_batch_;
-  MlpWorkspace ws_;
-  Vector chunk_out_;
-  Vector frame_scratch_;
-};
-
 /// Persists a brain (policy + normalizer) to `path`; parent dir must exist.
 void save_brain(const RlBrain& brain, const std::string& path);
 /// Restores a brain saved by save_brain; returns false if the file is absent.

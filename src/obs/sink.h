@@ -1,15 +1,14 @@
-// Line-oriented output sinks shared by the flight recorder, the metrics
-// registry and the logger.
+// Line-oriented output sinks shared by the flight recorder and training
+// telemetry.
 //
 // A sink turns "emit this line" into exactly one synchronized stream write,
-// so concurrent writers (run_many workers flushing traces, the logger firing
-// from several threads) never interleave partial lines. Every concrete sink
-// formats the full line — payload plus newline — into a private buffer and
-// issues a single write() under its mutex.
+// so concurrent writers (run_many workers flushing traces) never interleave
+// partial lines. Every concrete sink formats the full line — payload plus
+// newline — into a private buffer and issues a single write() under its
+// mutex.
 #pragma once
 
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -64,12 +63,5 @@ class StreamLineSink final : public LineSink {
   std::mutex mu_;
   std::string buf_;  // reused so a line is one write and zero steady-state allocs
 };
-
-/// Process-wide stderr sink (the logger's default target).
-inline const std::shared_ptr<LineSink>& stderr_sink() {
-  static const std::shared_ptr<LineSink> sink =
-      std::make_shared<StreamLineSink>(std::cerr);
-  return sink;
-}
 
 }  // namespace libra

@@ -372,6 +372,27 @@ inline void add_col_sums(const Matrix& m, Vector& out) {
   }
 }
 
+/// Least-squares slope over n interleaved {t, y} pairs: den > 1e-12 ?
+/// num/den : 0 (the RTT gradient of StatsWindow and MiCollector). The AVX2
+/// body keeps its own accumulation contract (see rl/matrix_simd.h).
+inline double ls_slope(const double* pairs, std::size_t n) {
+  if (n < 2) return 0.0;
+  if (simd::use_avx2()) return simd::ls_slope_avx2(pairs, n);
+  double mt = 0, my = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    mt += pairs[2 * i];
+    my += pairs[2 * i + 1];
+  }
+  mt /= static_cast<double>(n);
+  my /= static_cast<double>(n);
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    num += (pairs[2 * i] - mt) * (pairs[2 * i + 1] - my);
+    den += (pairs[2 * i] - mt) * (pairs[2 * i] - mt);
+  }
+  return den > 1e-12 ? num / den : 0.0;
+}
+
 inline double dot(const Vector& a, const Vector& b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: dim mismatch");
   double s = 0.0;

@@ -76,9 +76,9 @@ void normalize_into_avx2(const double* sample, const double* mean,
                          const double* m2, std::size_t count, double clip,
                          double* out, std::size_t n);
 
-// Least-squares slope over n interleaved {t, y} sample pairs (the
-// MiCollector / StatsWindow rtt-gradient scan): returns den > 1e-12 ?
-// num/den : 0. Own accumulation contract: one 4-lane vertical chain per sum
+// Least-squares slope over n interleaved {t, y} sample pairs (the AVX2 body
+// of ls_slope in rl/matrix.h): returns den > 1e-12 ? num/den : 0. Own
+// accumulation contract: one 4-lane vertical chain per sum
 // (lane pattern fixed by the pair deinterleave), fixed tree reduction,
 // scalar tail in index order — deterministic run-to-run, ULP-level drift
 // from the scalar two-pass loop.

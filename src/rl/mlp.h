@@ -87,8 +87,6 @@ class Mlp {
   /// the policy-snapshot step of parallel rollout collection.
   void copy_parameters_from(const Mlp& other);
 
-  std::size_t input_size() const { return sizes_.front(); }
-  std::size_t output_size() const { return sizes_.back(); }
   std::size_t parameter_count() const;
   const std::vector<std::size_t>& sizes() const { return sizes_; }
 

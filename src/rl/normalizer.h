@@ -41,8 +41,7 @@ class RunningNormalizer {
     return out;
   }
 
-  /// normalize() into a caller-owned buffer — the allocation-free form the
-  /// batched inference path uses to fill workspace rows in place.
+  /// normalize() into a caller-owned buffer.
   void normalize_into(const Vector& sample, double* out,
                       double clip = 10.0) const {
     if (sample.size() != mean_.size())

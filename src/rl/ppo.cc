@@ -83,21 +83,6 @@ double PpoAgent::act_sampled(const Vector& state) {
   return actor_->evaluate1(state) + std::exp(log_std_) * rng_.normal();
 }
 
-void PpoAgent::configure_policy_workspace(MlpWorkspace& ws,
-                                          std::size_t max_batch) const {
-  ws.configure(*actor_, max_batch);
-}
-
-void PpoAgent::act_greedy_batch(MlpWorkspace& ws, Vector& out) const {
-  if (ws.input().cols() != config_.state_dim)
-    throw std::invalid_argument("PpoAgent::act_greedy_batch: state dim mismatch");
-  actor_->forward_batch(ws);
-  const Matrix& o = ws.output();
-  out.resize(o.rows());
-  // The actor's output layer is 1-wide; column 0 is the policy mean.
-  for (std::size_t i = 0; i < o.rows(); ++i) out[i] = o(i, 0);
-}
-
 void PpoAgent::give_reward(double reward, bool done) {
   if (!pending_) return;  // reward with no opened transition: drop
   pending_->reward = reward;

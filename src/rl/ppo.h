@@ -100,18 +100,6 @@ class PpoAgent {
   /// unexpected decisions the paper analyzes.
   double act_sampled(const Vector& state);
 
-  /// Sizes `ws` for batched greedy inference over up to `max_batch` states
-  /// (the actor's shape is private to the agent, so the agent does the
-  /// configure). One-time allocation; pair with act_greedy_batch.
-  void configure_policy_workspace(MlpWorkspace& ws, std::size_t max_batch) const;
-
-  /// Greedy policy means for a whole batch: the caller fills ws.input()
-  /// (batch x state_dim, already normalized) and receives one mean per row in
-  /// `out`. Bitwise identical to calling act_greedy on each row; on wide
-  /// (512-unit) nets the batched path amortizes each weight-matrix traversal
-  /// over the whole batch instead of streaming 2 MB per state.
-  void act_greedy_batch(MlpWorkspace& ws, Vector& out) const;
-
   /// Completes the transition opened by the last act(). `done` marks an
   /// episode boundary (GAE does not bootstrap across it).
   void give_reward(double reward, bool done = false);

@@ -154,8 +154,6 @@ class alignas(64) EventQueue {
       dispatch(src);
   }
 
-  void run_for(SimDuration d) { run_until(now_ + d); }
-
   /// Events currently parked in the hot (timer) vs cold (payload) slot pool
   /// — pool-sizing telemetry for the event-queue benches.
   std::size_t hot_slot_count() const { return hot_slots_.size(); }

@@ -44,6 +44,11 @@ FleetNetwork::FleetNetwork(std::vector<LinkConfig> hops, FleetOptions options)
     for (auto& row : outbox_) row.resize(nshards);
   }
 
+  // A hop that can CE-mark makes every sender ECT, so its marks reach the
+  // CCAs.
+  opts_.sender.ecn_capable = std::any_of(
+      hops.begin(), hops.end(), [](const LinkConfig& l) { return l.marks_ecn(); });
+
   links_.reserve(hops.size());
   hop_delay_.reserve(hops.size());
   for (std::size_t h = 0; h < hops.size(); ++h) {

@@ -148,7 +148,8 @@ class FleetNetwork {
   /// at the hop boundary. Each hop's `seed` is overwritten with one derived
   /// from FleetOptions::seed and the hop index. Every other setting (marking,
   /// policing, CoDel) runs on the hop's owning shard, so serial == sharded
-  /// holds for any of them.
+  /// holds for any of them. When any hop marks (LinkConfig::marks_ecn), every
+  /// sender is ECT; otherwise none is.
   FleetNetwork(std::vector<LinkConfig> hops, FleetOptions options);
   ~FleetNetwork();
   FleetNetwork(const FleetNetwork&) = delete;

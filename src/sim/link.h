@@ -71,6 +71,12 @@ struct LinkConfig {
 
   /// Queue discipline: droptail when unset, CoDel when set.
   std::optional<CodelParams> codel;
+
+  /// True when any setting above can CE-mark an ECT packet. The engines then
+  /// stamp every sender ECT, so the marks reach the CCAs.
+  bool marks_ecn() const {
+    return ecn_threshold_bytes > 0 || policer_marks || (codel && codel->ecn_mark);
+  }
 };
 
 class alignas(64) Link {

@@ -27,12 +27,12 @@ Network::Network(LinkConfig link_config) {
 }
 
 int Network::add_flow(std::unique_ptr<CongestionControl> cca, SimTime start_time,
-                      SimTime stop_time, SimDuration extra_ack_delay,
-                      SenderConfig base_config) {
+                      SimTime stop_time, SimDuration extra_ack_delay) {
   if (started_) throw std::logic_error("Network: add_flow after run started");
   int id = static_cast<int>(flows_.size());
-  SenderConfig cfg = base_config;
+  SenderConfig cfg;
   cfg.flow_id = id;
+  cfg.ecn_capable = link_->config().marks_ecn();
   cfg.start_time = start_time;
   cfg.stop_time = stop_time;
   auto flow = std::make_unique<Flow>(events_, cfg, std::move(cca));

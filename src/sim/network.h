@@ -23,10 +23,10 @@ class Network {
 
   /// Adds a backlogged flow driven by `cca`. `extra_ack_delay` lengthens this
   /// flow's return path beyond the link's propagation delay (heterogeneous
-  /// RTTs). Returns the flow index.
+  /// RTTs). The flow's packets are ECT when the link marks. Returns the flow
+  /// index.
   int add_flow(std::unique_ptr<CongestionControl> cca, SimTime start_time = 0,
-               SimTime stop_time = kSimTimeMax, SimDuration extra_ack_delay = 0,
-               SenderConfig base_config = {});
+               SimTime stop_time = kSimTimeMax, SimDuration extra_ack_delay = 0);
 
   /// Starts every flow and runs the event loop until `t`.
   void run_until(SimTime t);

@@ -218,7 +218,6 @@ void Sender::on_ack_packet(const Packet& pkt) {
   // The ACK carries the delivered packet back, so the CE echo is simply the
   // packet's own mark (receiver echo with zero additional state).
   ev.ecn_ce = pkt.ce_marked;
-  if (ev.ecn_ce) ++packets_ce_;
   cca_->on_ack(ev);
   if (ack_observer) ack_observer(ev);
   if (recorder_) {

@@ -42,7 +42,8 @@ struct SenderConfig {
   /// instead of this sender scheduling its own periodic timer event.
   bool external_tick = false;
   /// Stamp outgoing packets ECT so ECN-enabled queues mark them (CE) instead
-  /// of dropping; CE comes back on the ACK as AckEvent::ecn_ce.
+  /// of dropping; CE comes back on the ACK as AckEvent::ecn_ce. Both engines
+  /// set it from their links (LinkConfig::marks_ecn).
   bool ecn_capable = false;
 };
 
@@ -112,8 +113,6 @@ class Sender {
   /// Sum of the raw per-ACK RTT samples, one per packets_acked().
   SimDuration rtt_sum() const { return rtt_sum_; }
   std::int64_t packets_lost() const { return packets_lost_; }
-  /// ACKs that carried a CE echo (0 for non-ECN flows).
-  std::int64_t packets_ce() const { return packets_ce_; }
   SimDuration smoothed_rtt() const { return srtt_; }
   SimDuration min_rtt() const { return min_rtt_; }
   const SenderConfig& config() const { return config_; }
@@ -258,7 +257,6 @@ class Sender {
   std::int64_t packets_sent_ = 0;
   std::int64_t packets_acked_ = 0;
   std::int64_t packets_lost_ = 0;
-  std::int64_t packets_ce_ = 0;
 };
 
 }  // namespace libra

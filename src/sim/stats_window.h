@@ -10,8 +10,7 @@
 #include <cmath>
 #include <vector>
 
-#include "rl/matrix_simd.h"
-#include "rl/simd.h"
+#include "rl/matrix.h"
 #include "sim/congestion_control.h"
 #include "stats/utility_fn.h"
 
@@ -67,24 +66,8 @@ class StatsWindow {
 
   /// Least-squares d(RTT)/dt over the window's ACKs (dimensionless).
   double rtt_gradient() const {
-    std::size_t n = rtt_samples_.size();
-    if (n < 2) return 0.0;
-    if (simd::use_avx2()) {
-      // RttSample is two packed doubles, i.e. the interleaved {t, y} layout
-      // the vector scan consumes directly.
-      static_assert(sizeof(RttSample) == 2 * sizeof(double));
-      return simd::ls_slope_avx2(&rtt_samples_.front().t, n);
-    }
-    double mt = 0, mr = 0;
-    for (auto& s : rtt_samples_) { mt += s.t; mr += s.rtt; }
-    mt /= static_cast<double>(n);
-    mr /= static_cast<double>(n);
-    double num = 0, den = 0;
-    for (auto& s : rtt_samples_) {
-      num += (s.t - mt) * (s.rtt - mr);
-      den += (s.t - mt) * (s.t - mt);
-    }
-    return den > 1e-12 ? num / den : 0.0;
+    return ls_slope(reinterpret_cast<const double*>(rtt_samples_.data()),
+                    rtt_samples_.size());
   }
 
   /// RTT gradient with PCC's latency-noise filter applied: tiny slopes are
@@ -102,7 +85,9 @@ class StatsWindow {
   }
 
  private:
-  struct RttSample { double t; double rtt; };  // packed: the SIMD scan layout
+  // Two packed doubles: the interleaved {t, y} layout ls_slope scans.
+  struct RttSample { double t; double rtt; };
+  static_assert(sizeof(RttSample) == 2 * sizeof(double));
   SimTime send_start_;
   SimTime send_end_;
   RateBps applied_rate_;

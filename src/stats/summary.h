@@ -48,11 +48,4 @@ inline double percentile(std::vector<double> values, double p) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-inline double mean_of(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
 }  // namespace libra

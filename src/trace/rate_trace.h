@@ -65,9 +65,6 @@ class PiecewiseTrace final : public RateTrace {
     return std::make_unique<PiecewiseTrace>(*this);
   }
 
-  const std::vector<Segment>& segments() const { return segments_; }
-  SimDuration loop_period() const { return loop_period_; }
-
  private:
   SimTime fold(SimTime t) const;
 

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace libra {
@@ -210,7 +211,11 @@ inline void parallel_for_chunked(ThreadPool& pool, std::size_t begin,
   loop->done_cv.wait(lock, [&] {
     return loop->completed.load(std::memory_order_acquire) >= loop->end;
   });
-  if (loop->error) std::rethrow_exception(loop->error);
+  // Rethrow through a pointer only the caller holds: a helper may drop the
+  // last reference to `loop` while the caller still handles the exception,
+  // and the exception must not be destroyed on that thread.
+  if (std::exception_ptr error = std::exchange(loop->error, nullptr))
+    std::rethrow_exception(error);
 }
 
 }  // namespace libra

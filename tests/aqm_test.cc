@@ -8,6 +8,8 @@
 #include "classic/bbr.h"
 #include "classic/compound.h"
 #include "classic/cubic.h"
+#include "classic/dctcp.h"
+#include "harness/runner.h"
 #include "sim/network.h"
 
 namespace libra {
@@ -280,11 +282,11 @@ TEST(Codel, NetworkMatchesParentCodelNetworkExactly) {
   // The exact values below were recorded with the separate CoDel queue class
   // and dumbbell engine that Link and Network replaced. That engine acked
   // after a fixed 15 ms, which equals Network's ack delay only at 15 ms of
-  // propagation. The senders are non-ECT, so mark mode must still drop.
+  // propagation. That run put non-ECT senders on a mark-mode link, which
+  // drops exactly where drop mode does, so a drop-mode link reproduces it.
   LinkConfig cfg = codel_link(mbps(24));
   cfg.stochastic_loss = 0.001;
   cfg.seed = 7;
-  cfg.codel->ecn_mark = true;
   Network net(cfg);
   for (int i = 0; i < 4; ++i) {
     std::unique_ptr<CongestionControl> cca;
@@ -310,6 +312,18 @@ TEST(Codel, NetworkMatchesParentCodelNetworkExactly) {
     EXPECT_EQ(s.packets_acked(), want[i][1]) << "flow " << i;
     EXPECT_EQ(s.packets_lost(), want[i][2]) << "flow " << i;
   }
+}
+
+TEST(Codel, MarkModeLinkMakesScenarioFlowsEct) {
+  // A CoDel link in mark mode is a marking link: its flows must be ECT, so
+  // every control-law firing CE-marks a packet that DCTCP then reacts to,
+  // and none is dropped.
+  Scenario s = wired_scenario(48, msec(30), 600 * 1000);
+  s.link.codel = CodelParams{.ecn_mark = true};
+  s.duration = sec(20);
+  auto net = run_scenario(s, {{[] { return std::make_unique<Dctcp>(); }}}, 1);
+  EXPECT_GT(net->link().codel_marks(), 0);
+  EXPECT_EQ(net->link().codel_drops(), 0);
 }
 
 TEST(Codel, RejectsDegenerateSettings) {

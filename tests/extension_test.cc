@@ -2,15 +2,12 @@
 // paths not covered by the per-module suites.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "classic/illinois.h"
 #include "classic/newreno.h"
 #include "classic/westwood.h"
 #include "core/factory.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
-#include "trace/trace_io.h"
 
 namespace libra {
 namespace {
@@ -96,22 +93,6 @@ TEST(FailureInjection, RecoversFromMidFlowBlackout) {
   net.add_flow(std::make_unique<NewReno>());
   net.run_until(sec(20));
   EXPECT_GT(net.flow(0).throughput_in(sec(12), sec(20)), mbps(12));
-}
-
-// Trace file round trip through the filesystem API.
-TEST(TraceFiles, FileRoundTrip) {
-  std::string path = ::testing::TempDir() + "/trace.mahi";
-  auto original = make_lte_trace(LteProfile::kWalking, sec(20), 5);
-  write_mahimahi_file(*original, sec(20), path);
-  auto restored = read_mahimahi_file(path);
-  EXPECT_NEAR(restored->average_rate(0, sec(20)),
-              original->average_rate(0, sec(20)),
-              original->average_rate(0, sec(20)) * 0.05);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFiles, MissingFileThrows) {
-  EXPECT_THROW(read_mahimahi_file("/nonexistent/file.mahi"), std::runtime_error);
 }
 
 // Sender robustness: minimum pacing floor keeps even a silenced controller

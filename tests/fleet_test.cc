@@ -191,49 +191,6 @@ TEST(FleetIdentity, ShardedMatchesSerialForLearnedCca) {
   EXPECT_TRUE(deterministically_equal(base, got));
 }
 
-TEST(FleetIdentity, BatchedPolicyEvalMatchesFleetFlowStates) {
-  // The batched inference path the fleet's learned flows would fan through
-  // must agree bitwise with per-state greedy evaluation on states drawn from
-  // an actual fleet run.
-  RlCcaConfig cfg = libra_rl_config();
-  cfg.training = false;
-  auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 9, {8, 8}),
-                                         feature_frame_size(cfg.features));
-  const std::size_t dim = brain->agent.config().state_dim;
-  const std::size_t frame = brain->normalizer.dim();
-  // States seeded from fleet summaries so they are plausible magnitudes.
-  FleetSpec spec = incast_fleet(8, 96.0);
-  spec.duration = sec(2);
-  spec.warmup = sec(1);
-  const FleetSummary s =
-      run_fleet(spec, [] { return std::make_unique<Cubic>(); }, 2);
-  std::vector<Vector> states;
-  for (std::size_t i = 0; i < s.flows.size(); ++i) {
-    Vector v(dim, 0.0);
-    for (std::size_t j = 0; j < dim; ++j) {
-      v[j] = s.flows[i].throughput_bps / mbps(96) +
-             0.01 * static_cast<double>(i + j);
-    }
-    states.push_back(std::move(v));
-  }
-  BatchedPolicyEval eval(brain, /*max_batch=*/3);
-  Vector batched;
-  eval.evaluate(states, batched);
-  ASSERT_EQ(batched.size(), states.size());
-  Vector scratch(frame);
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    Vector normalized(dim);
-    for (std::size_t off = 0; off < dim; off += frame) {
-      std::copy(states[i].begin() + static_cast<std::ptrdiff_t>(off),
-                states[i].begin() + static_cast<std::ptrdiff_t>(off + frame),
-                scratch.begin());
-      brain->normalizer.normalize_into(scratch,
-                                       normalized.data() + off);
-    }
-    EXPECT_EQ(brain->agent.act_greedy(normalized), batched[i]) << "state " << i;
-  }
-}
-
 TEST(FleetEngine, FiniteFlowsFinishAndReportCompletion) {
   FleetSpec spec = incast_fleet(0, 96.0);
   spec.duration = sec(5);
@@ -548,45 +505,76 @@ TEST(FleetIdentity, ShardedMatchesSerialForMarkingPolicer) {
   }
 }
 
+// Runs identity_spec() with `codel` on every hop and mixed classic flows, and
+// reads back each hop's CoDel drops and marks.
+FleetSummary run_codel_hops(const CodelParams& codel, FleetMode mode,
+                            std::size_t threads, std::vector<std::int64_t>& drops,
+                            std::vector<std::int64_t>& marks) {
+  const FleetSpec spec = identity_spec();
+  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 42);
+  FleetRunOptions opts;
+  opts.mode = mode;
+  opts.threads = threads;
+  std::vector<LinkConfig> hops = fleet_links(spec);
+  for (LinkConfig& hop : hops) hop.codel = codel;
+  FleetNetwork net(std::move(hops), fleet_options(spec, 42, opts));
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    FleetFlowDef def;
+    def.cca = mixed_classic(static_cast<int>(i));
+    def.start = plans[i].start;
+    def.stop = plans[i].stop;
+    def.byte_budget = plans[i].byte_budget;
+    def.enter_hop = plans[i].enter_hop;
+    def.exit_hop = plans[i].exit_hop;
+    net.add_flow(std::move(def));
+  }
+  net.run();
+  drops.clear();
+  marks.clear();
+  for (int h = 0; h < net.hop_count(); ++h) {
+    drops.push_back(net.hop(h).codel_drops());
+    marks.push_back(net.hop(h).codel_marks());
+  }
+  return net.summarize();
+}
+
 TEST(FleetIdentity, ShardedMatchesSerialWithCodelHops) {
   // CoDel reaches the fleet through each hop's LinkConfig, like any other
   // link setting. Its control law runs on the hop's owning shard, so every
   // drop and every flow counter must match the serial engine.
-  const FleetSpec spec = identity_spec();
-  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 42);
-  auto run = [&](FleetMode mode, std::size_t threads,
-                 std::vector<std::int64_t>& codel_drops) {
-    FleetRunOptions opts;
-    opts.mode = mode;
-    opts.threads = threads;
-    std::vector<LinkConfig> hops = fleet_links(spec);
-    for (LinkConfig& hop : hops) hop.codel = CodelParams{};
-    FleetNetwork net(std::move(hops), fleet_options(spec, 42, opts));
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      FleetFlowDef def;
-      def.cca = mixed_classic(static_cast<int>(i));
-      def.start = plans[i].start;
-      def.stop = plans[i].stop;
-      def.byte_budget = plans[i].byte_budget;
-      def.enter_hop = plans[i].enter_hop;
-      def.exit_hop = plans[i].exit_hop;
-      net.add_flow(std::move(def));
-    }
-    net.run();
-    codel_drops.clear();
-    for (int h = 0; h < net.hop_count(); ++h)
-      codel_drops.push_back(net.hop(h).codel_drops());
-    return net.summarize();
-  };
-  std::vector<std::int64_t> base_drops;
-  const FleetSummary base = run(FleetMode::kSerial, 0, base_drops);
+  std::vector<std::int64_t> base_drops, base_marks;
+  const FleetSummary base =
+      run_codel_hops(CodelParams{}, FleetMode::kSerial, 0, base_drops, base_marks);
   EXPECT_GT(base.total_throughput_bps, 0.0);
   for (std::int64_t d : base_drops) EXPECT_GT(d, 0);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    std::vector<std::int64_t> drops;
-    const FleetSummary got = run(FleetMode::kSharded, threads, drops);
+    std::vector<std::int64_t> drops, marks;
+    const FleetSummary got =
+        run_codel_hops(CodelParams{}, FleetMode::kSharded, threads, drops, marks);
     EXPECT_TRUE(deterministically_equal(base, got))
         << "CoDel hops diverged at threads=" << threads;
+    EXPECT_EQ(drops, base_drops) << "threads=" << threads;
+  }
+}
+
+TEST(FleetIdentity, CodelMarkModeHopsMarkEctSenders) {
+  // A hop in CoDel mark mode is a marking hop, so every sender is ECT and
+  // each control-law firing CE-marks instead of dropping, identically under
+  // both engines.
+  const CodelParams mark{.ecn_mark = true};
+  std::vector<std::int64_t> base_drops, base_marks;
+  const FleetSummary base =
+      run_codel_hops(mark, FleetMode::kSerial, 0, base_drops, base_marks);
+  EXPECT_GT(base.total_throughput_bps, 0.0);
+  for (std::int64_t m : base_marks) EXPECT_GT(m, 0);
+  for (std::int64_t d : base_drops) EXPECT_EQ(d, 0);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    std::vector<std::int64_t> drops, marks;
+    const FleetSummary got =
+        run_codel_hops(mark, FleetMode::kSharded, threads, drops, marks);
+    EXPECT_TRUE(deterministically_equal(base, got))
+        << "CoDel mark-mode hops diverged at threads=" << threads;
+    EXPECT_EQ(marks, base_marks) << "threads=" << threads;
     EXPECT_EQ(drops, base_drops) << "threads=" << threads;
   }
 }

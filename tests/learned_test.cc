@@ -201,50 +201,6 @@ TEST(RlCca, EpisodeMetricsAccumulate) {
   EXPECT_EQ(cca.episode_steps(), 0);
 }
 
-TEST(BatchedPolicyEval, BitwiseMatchesPerStateGreedy) {
-  // The batched path (normalize_into + forward_batch) must agree bit-for-bit
-  // with normalize + act_greedy per state — it's a faster route to the same
-  // decisions, not a different policy.
-  RlCcaConfig cfg = libra_rl_config();
-  auto brain = tiny_brain(cfg, 21);
-  const std::size_t dim = brain->agent.config().state_dim;
-  // Give the normalizer real statistics so normalization is nontrivial.
-  Rng rng(22);
-  for (int i = 0; i < 50; ++i) {
-    Vector frame(brain->normalizer.dim());
-    for (double& v : frame) v = rng.uniform(-3.0, 3.0);
-    brain->normalizer.update(frame);
-  }
-  std::vector<Vector> raw(37, Vector(dim));
-  for (Vector& s : raw)
-    for (double& v : s) v = rng.uniform(-5.0, 5.0);
-
-  // Small max_batch forces the chunking path (37 = 2 full chunks + remainder).
-  BatchedPolicyEval eval(brain, /*max_batch=*/16);
-  Vector batched;
-  eval.evaluate(raw, batched);
-  ASSERT_EQ(batched.size(), raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    // Per-state reference path: the frame-wise normalizer applied across the
-    // stacked history, then the greedy actor.
-    Vector normalized(dim);
-    const std::size_t frame = brain->normalizer.dim();
-    for (std::size_t off = 0; off < dim; off += frame) {
-      Vector f(raw[i].begin() + off, raw[i].begin() + off + frame);
-      Vector nf = brain->normalizer.normalize(f);
-      std::copy(nf.begin(), nf.end(), normalized.begin() + off);
-    }
-    EXPECT_EQ(brain->agent.act_greedy(normalized), batched[i]) << "state " << i;
-  }
-}
-
-TEST(BatchedPolicyEval, RejectsBadStateDim) {
-  auto brain = tiny_brain(libra_rl_config(), 23);
-  BatchedPolicyEval eval(brain, 8);
-  Vector out;
-  EXPECT_THROW(eval.evaluate({Vector(3, 0.0)}, out), std::invalid_argument);
-}
-
 TEST(BrainIo, SaveLoadRoundTrip) {
   RlCcaConfig cfg = libra_rl_config();
   auto a = tiny_brain(cfg, 5);

@@ -1,13 +1,12 @@
 // Observability subsystem tests: histogram bucket math, metrics aggregation
 // under concurrency, flight-recorder ring/sink semantics, trace determinism
-// across serial and parallel execution, and the thread-safe logger sink.
+// across serial and parallel execution.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/sink.h"
-#include "util/logging.h"
 
 namespace libra {
 namespace {
@@ -379,57 +377,6 @@ TEST(NetworkMetrics, FinalizedRegistryDescribesTheRun) {
   // Calling it again must not double-count (idempotence guard).
   net->finalize_metrics();
   EXPECT_EQ(m.counters().at("flows").value(), 1);
-}
-
-// --- Logger thread safety ----------------------------------------------------
-
-class CaptureSink final : public LineSink {
- public:
-  void write_line(std::string_view line) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    lines_.emplace_back(line);
-  }
-  std::vector<std::string> lines() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return lines_;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::string> lines_;
-};
-
-TEST(Logger, ConcurrentWritersNeverInterleaveLines) {
-  auto capture = std::make_shared<CaptureSink>();
-  Logger::set_sink(capture);
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 200;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        log_warn("thread " + std::to_string(t) + " msg " + std::to_string(i));
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  Logger::set_sink(nullptr);  // restore stderr for later tests
-
-  std::vector<std::string> lines = capture->lines();
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  std::vector<std::vector<bool>> seen(kThreads, std::vector<bool>(kPerThread));
-  for (const std::string& line : lines) {
-    int t = -1, i = -1;
-    ASSERT_EQ(std::sscanf(line.c_str(), "[WARN] thread %d msg %d", &t, &i), 2)
-        << "mangled line: " << line;
-    ASSERT_GE(t, 0);
-    ASSERT_LT(t, kThreads);
-    ASSERT_GE(i, 0);
-    ASSERT_LT(i, kPerThread);
-    EXPECT_FALSE(seen[t][i]) << "duplicate line: " << line;
-    seen[t][i] = true;
-  }
 }
 
 }  // namespace

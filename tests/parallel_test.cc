@@ -278,7 +278,7 @@ TEST(AverageRunsParallel, MatchesSerialAveraging) {
   EXPECT_EQ(avg.avg_delay_ms, delay / kRuns);
 }
 
-// --- RunManyOptions: progress, cancellation, metrics ------------------------
+// --- RunManyOptions: progress, metrics --------------------------------------
 
 std::vector<RunRequest> short_batch(std::size_t n) {
   Scenario s = wired_scenario(24);
@@ -352,38 +352,6 @@ TEST(RunMany, ProgressReportsFlowSecondsClampedToScenarioDuration) {
   EXPECT_DOUBLE_EQ(last_completed, 10.5);
 }
 
-TEST(RunMany, PreCancelledBatchSkipsEveryRun) {
-  std::vector<RunRequest> reqs = short_batch(4);
-  std::atomic<bool> cancel{true};
-  std::size_t progress_calls = 0;
-  RunManyOptions opts;
-  opts.cancel = &cancel;
-  opts.on_progress = [&](const RunProgress&) { ++progress_calls; };
-  ThreadPool pool(2);
-  std::vector<RunSummary> out = run_many(reqs, pool, opts);
-  ASSERT_EQ(out.size(), reqs.size());
-  for (const RunSummary& s : out) {
-    EXPECT_TRUE(s.flows.empty());  // skipped slots keep the default summary
-  }
-  EXPECT_EQ(progress_calls, 0u);
-}
-
-TEST(RunMany, CancelMidBatchStopsLaunchingNewRuns) {
-  std::vector<RunRequest> reqs = short_batch(8);
-  std::atomic<bool> cancel{false};
-  RunManyOptions opts;
-  opts.cancel = &cancel;
-  opts.on_progress = [&](const RunProgress& p) {
-    if (p.done >= 2) cancel.store(true);
-  };
-  ThreadPool pool(1);  // serial drain => deterministic cut-off
-  std::vector<RunSummary> out = run_many(reqs, pool, opts);
-  std::size_t completed = 0;
-  for (const RunSummary& s : out) completed += s.flows.empty() ? 0 : 1;
-  EXPECT_GE(completed, 2u);
-  EXPECT_LT(completed, reqs.size());
-}
-
 TEST(RunMany, MetricsAggregateAcrossWorkers) {
   std::vector<RunRequest> reqs = short_batch(5);
   // Identical seeds => identical per-run event counts, so the merged total
@@ -448,48 +416,7 @@ TEST(TrainParallel, WeightsBitwiseInvariantAcrossThreadCounts) {
   EXPECT_EQ(run(4), one_thread);
 }
 
-// --- CcaZoo::train_all ------------------------------------------------------
-
-TEST(CcaZoo, TrainAllProducesEveryBrainFamily) {
-  ZooConfig cfg;
-  cfg.brain_dir = "";  // no cache: force actual (tiny) training
-  cfg.train_episodes = 1;
-  cfg.hidden_width = 8;
-  CcaZoo zoo(cfg);
-
-  ThreadPool pool(4);
-  zoo.train_all(pool);
-
-  for (const std::string& family : CcaZoo::brain_families()) {
-    auto brain = zoo.brain(family);  // cached now: must not retrain
-    ASSERT_NE(brain, nullptr) << family;
-    EXPECT_GT(brain->agent.config().state_dim, 0u) << family;
-  }
-}
-
-TEST(CcaZoo, ParallelTrainingMatchesSerialTraining) {
-  ZooConfig cfg;
-  cfg.brain_dir = "";
-  cfg.train_episodes = 1;
-  cfg.hidden_width = 8;
-
-  CcaZoo serial_zoo(cfg);
-  for (const std::string& family : CcaZoo::brain_families()) {
-    serial_zoo.brain(family);
-  }
-
-  CcaZoo parallel_zoo(cfg);
-  ThreadPool pool(4);
-  parallel_zoo.train_all(pool);
-
-  // Same seeds, independent trainers => identical learned parameters.
-  for (const std::string& family : CcaZoo::brain_families()) {
-    std::ostringstream a, b;
-    serial_zoo.brain(family)->agent.save(a);
-    parallel_zoo.brain(family)->agent.save(b);
-    EXPECT_EQ(a.str(), b.str()) << family;
-  }
-}
+// --- CcaZoo brain cache ---------------------------------------------------
 
 std::string brain_bytes(const RlBrain& brain) {
   std::ostringstream out;

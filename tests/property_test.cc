@@ -163,8 +163,12 @@ TEST_P(ActionMap, OrcaMapSymmetricAndMonotone) {
   double rate = mbps(10);
   EXPECT_GT(mimd_orca(rate, a), 0);
   EXPECT_NEAR(mimd_orca(mimd_orca(rate, a), -a), rate, 1e-6);
-  if (a > 0) EXPECT_GT(mimd_orca(rate, a), rate);
-  if (a < 0) EXPECT_LT(mimd_orca(rate, a), rate);
+  if (a > 0) {
+    EXPECT_GT(mimd_orca(rate, a), rate);
+  }
+  if (a < 0) {
+    EXPECT_LT(mimd_orca(rate, a), rate);
+  }
 }
 
 TEST_P(ActionMap, AuroraMapSymmetricAndMonotone) {
@@ -172,8 +176,12 @@ TEST_P(ActionMap, AuroraMapSymmetricAndMonotone) {
   double rate = mbps(10);
   EXPECT_GT(mimd_aurora(rate, a), 0);
   EXPECT_NEAR(mimd_aurora(mimd_aurora(rate, a), -a), rate, 1.0);
-  if (a > 0) EXPECT_GT(mimd_aurora(rate, a), rate);
-  if (a < 0) EXPECT_LT(mimd_aurora(rate, a), rate);
+  if (a > 0) {
+    EXPECT_GT(mimd_aurora(rate, a), rate);
+  }
+  if (a < 0) {
+    EXPECT_LT(mimd_aurora(rate, a), rate);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Actions, ActionMap,

@@ -496,20 +496,16 @@ TEST(SimdKernels, LsSlopeMatchesScalarReference) {
       pairs[2 * i] = 0.01 * static_cast<double>(i) + rng.uniform(0.0, 0.001);
       pairs[2 * i + 1] = rng.uniform(0.02, 0.08);
     }
-    double mt = 0, mr = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      mt += pairs[2 * i];
-      mr += pairs[2 * i + 1];
+    double ref = 0;
+    {
+      ScopedIsa scalar(simd::Isa::kScalar);
+      ref = ls_slope(pairs.data(), n);
     }
-    mt /= static_cast<double>(n);
-    mr /= static_cast<double>(n);
-    double num = 0, den = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      num += (pairs[2 * i] - mt) * (pairs[2 * i + 1] - mr);
-      den += (pairs[2 * i] - mt) * (pairs[2 * i] - mt);
-    }
-    const double ref = den > 1e-12 ? num / den : 0.0;
     const double got = simd::ls_slope_avx2(pairs.data(), n);
+    {
+      ScopedIsa avx2(simd::Isa::kAvx2);
+      EXPECT_EQ(ls_slope(pairs.data(), n), got) << "n=" << n;
+    }
     if (ref == 0.0) {
       EXPECT_EQ(got, 0.0) << "n=" << n;
     } else {

@@ -112,7 +112,7 @@ TEST(OverheadMeter, AccumulatesScopes) {
   {
     OverheadMeter::Scope s(m);
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink += i;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(m.busy_nanoseconds(), 0);
   EXPECT_EQ(m.invocations(), 1);

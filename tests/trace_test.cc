@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "trace/lte_model.h"
 #include "trace/rate_trace.h"
-#include "trace/trace_io.h"
 
 namespace libra {
 namespace {
@@ -125,45 +122,6 @@ TEST(LteModel, VolatilityOrdering) {
 
 TEST(LteModel, RejectsBadLength) {
   EXPECT_THROW(make_lte_trace(LteProfile::kWalking, 0, 1), std::invalid_argument);
-}
-
-TEST(TraceIo, MahimahiRoundTripPreservesRate) {
-  ConstantTrace original(mbps(12));
-  std::stringstream buf;
-  write_mahimahi(original, sec(10), buf);
-  auto restored = read_mahimahi(buf);
-  // 12 Mbps = 1000 packets/s: binned rate should match closely.
-  EXPECT_NEAR(restored->average_rate(0, sec(10)), mbps(12), mbps(0.5));
-}
-
-TEST(TraceIo, MahimahiEmitsOneLinePerPacket) {
-  ConstantTrace t(mbps(12));  // 1 packet per ms
-  std::stringstream buf;
-  write_mahimahi(t, sec(1), buf);
-  int lines = 0;
-  std::string line;
-  while (std::getline(buf, line)) ++lines;
-  EXPECT_NEAR(lines, 1000, 2);
-}
-
-TEST(TraceIo, ReadRejectsEmpty) {
-  std::stringstream buf("");
-  EXPECT_THROW(read_mahimahi(buf), std::runtime_error);
-}
-
-TEST(TraceIo, ReadSkipsComments) {
-  std::stringstream buf("# header\n1\n2\n3\n");
-  auto t = read_mahimahi(buf);
-  EXPECT_GT(t->average_rate(0, msec(4)), 0.0);
-}
-
-TEST(TraceIo, VariableTraceRoundTripPreservesShape) {
-  auto original = make_step_trace({mbps(24), mbps(6)}, sec(2));
-  std::stringstream buf;
-  write_mahimahi(*original, sec(4), buf);
-  auto restored = read_mahimahi(buf);
-  EXPECT_NEAR(restored->average_rate(0, sec(2)), mbps(24), mbps(1));
-  EXPECT_NEAR(restored->average_rate(sec(2), sec(4)), mbps(6), mbps(1));
 }
 
 }  // namespace

@@ -176,52 +176,26 @@ double wl_ppo_update_ms() {
   return elapsed * 1e3 / kUpdates;
 }
 
-double wl_wide_batched_greedy_us() {
-  // Paper-scale serving shape: one 2x512 policy evaluated for a fleet of 64
-  // flows per decision tick, through the full BatchedPolicyEval path
-  // (per-frame normalization + chunked forward_batch). Untrained weights —
-  // decision cost is architecture-determined, not policy-determined.
-  RlCcaConfig cfg = libra_rl_config();
-  auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 3, {512, 512}),
-                                         feature_frame_size(cfg.features));
-  constexpr std::size_t kStates = 64;
-  constexpr int kIters = 4;
-  std::vector<Vector> states(kStates, Vector(brain->agent.config().state_dim));
-  Rng rng(11);
-  for (Vector& s : states)
-    for (double& v : s) v = rng.uniform(-1.0, 1.0);
-  BatchedPolicyEval eval(brain);
-  Vector out;
-  double acc = 0;
-  double t0 = now_s();
-  for (int i = 0; i < kIters; ++i) {
-    eval.evaluate(states, out);
-    acc += out[0];
-  }
-  double elapsed = now_s() - t0;
-  if (std::isnan(acc)) std::abort();
-  return elapsed * 1e6 / (kIters * kStates);
-}
-
 double wl_wide_forward_batch_us() {
-  // The raw actor forward_batch on the same 2x512 net with no normalizer or
-  // chunking overhead: isolates the GEMM + tanh loops the matrix kernels
-  // carry.
+  // Paper-scale serving shape: a batch of 64 states through a 2x512 actor
+  // with libra-rl's state size. Untrained weights — inference cost is
+  // architecture-determined, not policy-determined.
   RlCcaConfig cfg = libra_rl_config();
-  PpoAgent agent(make_ppo_config(cfg, 3, {512, 512}));
+  const std::size_t state_dim = make_ppo_config(cfg).state_dim;
+  Rng init(3);
+  const Mlp actor({state_dim, 512, 512, 1}, init);
   constexpr std::size_t kBatch = 64;
   constexpr int kIters = 4;
   MlpWorkspace ws;
-  agent.configure_policy_workspace(ws, kBatch);
+  ws.configure(actor, kBatch);
   ws.set_batch(kBatch);
   Rng rng(11);
   for (double& v : ws.input().data()) v = rng.uniform(-1.0, 1.0);
-  Vector out;
   double acc = 0;
   double t0 = now_s();
   for (int i = 0; i < kIters; ++i) {
-    agent.act_greedy_batch(ws, out);
-    acc += out[0];
+    actor.forward_batch(ws);
+    acc += ws.output()(0, 0);
   }
   double elapsed = now_s() - t0;
   if (std::isnan(acc)) std::abort();
@@ -373,7 +347,6 @@ constexpr MetricDef kMetrics[] = {
     {"seed_sweep_12x4s", "ms", 0.50, wl_seed_sweep_ms},
     {"ppo_inference_h64", "ns/call", 0.75, wl_ppo_inference_ns},
     {"ppo_update_h64", "ms/update", 0.35, wl_ppo_update_ms},
-    {"wide_batched_greedy_2x512", "us/state", 0.75, wl_wide_batched_greedy_us},
     {"wide_forward_batch_2x512", "us/state", 0.75, wl_wide_forward_batch_us},
     {"telemetry_sample_1ms", "ms/run", 0.75, wl_telemetry_sample_1ms_ms},
     {"lte_trace_synthesis_60s", "ms/trace", 0.50, wl_lte_trace_ms},
