@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   for (bool lower_first : {true, false}) {
     LibraParams p = c_libra_params();
     p.lower_rate_first = lower_first;
-    CcaFactory factory = [p, brain] { return make_c_libra(brain, false, p); };
+    CcaFactory factory = [p, brain] { return make_c_libra(brain, p); };
 
     double wu = 0, wd = 0, cu = 0, cd = 0;
     for (const Scenario& base : wired_set()) {

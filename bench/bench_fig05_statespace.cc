@@ -67,13 +67,13 @@ int main(int argc, char** argv) {
     auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 31 + ci),
                                            feature_frame_size(cfg.features));
     Trainer trainer(env, 77);
-    auto stats = trainer.train(
-        [&] {
+    auto stats = trainer.train_parallel(
+        [&cfg](const std::shared_ptr<RlBrain>& b) {
           RlCcaConfig c = cfg;
           c.training = true;
-          return std::make_unique<RlCca>(c, brain);
+          return std::make_unique<RlCca>(c, b);
         },
-        kEpisodes);
+        brain, kEpisodes, default_pool());
     // Internal training rewards are not comparable across reward designs, so
     // the curves report a uniform episode quality score in the spirit of the
     // paper's reward axis: utilization minus excess-delay and loss penalties

@@ -41,13 +41,13 @@ int main(int argc, char** argv) {
     auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 51 + vi),
                                            feature_frame_size(cfg.features));
     Trainer trainer(env, 29);
-    auto stats = trainer.train(
-        [&] {
+    auto stats = trainer.train_parallel(
+        [&cfg](const std::shared_ptr<RlBrain>& b) {
           RlCcaConfig c = cfg;
           c.training = true;
-          return std::make_unique<RlCca>(c, brain);
+          return std::make_unique<RlCca>(c, b);
         },
-        kEpisodes);
+        brain, kEpisodes, default_pool());
     // Same uniform quality score as the Fig. 5 bench (training rewards are
     // design-internal and not comparable across action maps).
     std::vector<double> curve;

@@ -16,8 +16,8 @@ CcaFactory libra_with(UtilityParams up, bool bbr_variant) {
   return [up, bbr_variant, brain]() -> std::unique_ptr<CongestionControl> {
     LibraParams p = bbr_variant ? b_libra_params() : c_libra_params();
     p.utility = up;
-    return bbr_variant ? make_b_libra(brain, false, p)
-                       : make_c_libra(brain, false, p);
+    return bbr_variant ? make_b_libra(brain, p)
+                       : make_c_libra(brain, p);
   };
 }
 

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
       DecisionCounts total;
       constexpr int kRuns = 3;
       for (int r = 0; r < kRuns; ++r) {
-        auto cca = bbr_variant ? make_b_libra(brain, false)
-                               : make_c_libra(brain, false);
+        auto cca = bbr_variant ? make_b_libra(brain)
+                               : make_c_libra(brain);
         Libra* ptr = cca.get();
         Network net(s.link_config(400 + static_cast<std::uint64_t>(r)));
         net.add_flow(std::move(cca));

@@ -13,7 +13,7 @@ using namespace libra::benchx;
 
 CcaFactory c_libra_with(LibraParams p) {
   auto brain = zoo().brain("libra-rl");
-  return [p, brain] { return make_c_libra(brain, false, p); };
+  return [p, brain] { return make_c_libra(brain, p); };
 }
 
 struct Avg {

@@ -55,13 +55,13 @@ int main(int argc, char** argv) {
     auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 91 + vi),
                                            feature_frame_size(cfg.features));
     Trainer trainer(env, 13);
-    auto stats = trainer.train(
-        [&] {
+    auto stats = trainer.train_parallel(
+        [&cfg](const std::shared_ptr<RlBrain>& b) {
           RlCcaConfig c = cfg;
           c.training = true;
-          return std::make_unique<RlCca>(c, brain);
+          return std::make_unique<RlCca>(c, b);
         },
-        kEpisodes);
+        brain, kEpisodes, default_pool());
     Result r{0, 0, 0, 0};
     for (int k = kEpisodes - kTail; k < kEpisodes; ++k) {
       const auto& e = stats[static_cast<std::size_t>(k)];

@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
     auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, with_loss ? 61 : 62),
                                            feature_frame_size(cfg.features));
     Trainer trainer(env, 43);
-    auto stats = trainer.train(
-        [&] {
+    auto stats = trainer.train_parallel(
+        [&cfg](const std::shared_ptr<RlBrain>& b) {
           RlCcaConfig c = cfg;
           c.training = true;
-          return std::make_unique<RlCca>(c, brain);
+          return std::make_unique<RlCca>(c, b);
         },
-        kEpisodes);
+        brain, kEpisodes, default_pool());
     double thr = 0, lat = 0, loss = 0;
     for (int k = kEpisodes - kTail; k < kEpisodes; ++k) {
       thr += stats[static_cast<std::size_t>(k)].throughput_bps;

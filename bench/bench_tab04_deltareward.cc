@@ -30,13 +30,13 @@ int main(int argc, char** argv) {
         make_ppo_config(cfg, mode == RewardMode::kDelta ? 71 : 72),
         feature_frame_size(cfg.features));
     Trainer trainer(env, 47);
-    auto stats = trainer.train(
-        [&] {
+    auto stats = trainer.train_parallel(
+        [&cfg](const std::shared_ptr<RlBrain>& b) {
           RlCcaConfig c = cfg;
           c.training = true;
-          return std::make_unique<RlCca>(c, brain);
+          return std::make_unique<RlCca>(c, b);
         },
-        kEpisodes);
+        brain, kEpisodes, default_pool());
     double thr = 0, lat = 0, loss = 0;
     for (int k = kEpisodes - kTail; k < kEpisodes; ++k) {
       thr += stats[static_cast<std::size_t>(k)].throughput_bps;
@@ -48,9 +48,7 @@ int main(int argc, char** argv) {
     Scenario share = wired_scenario(100, msec(50), 100e6 / 8 * 0.05);
     share.duration = sec(30);
     auto factory = [&]() -> std::unique_ptr<CongestionControl> {
-      RlCcaConfig c = cfg;
-      c.training = false;
-      return std::make_unique<RlCca>(c, brain);
+      return std::make_unique<RlCca>(cfg, brain);
     };
     auto net = run_scenario(share, {{factory}, {factory}}, 3);
     double a = net->flow(0).throughput_in(sec(10), sec(30));

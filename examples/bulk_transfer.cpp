@@ -26,7 +26,7 @@ int main() {
   auto libra_factory = [&]() -> std::unique_ptr<CongestionControl> {
     LibraParams p = c_libra_params();
     p.utility = throughput_oriented(1);
-    return make_c_libra(brain, /*training=*/false, p);
+    return make_c_libra(brain, p);
   };
 
   struct Entry {

@@ -41,7 +41,7 @@ int main() {
     LibraParams params = c_libra_params();
     params.utility = p.utility;
     RunSummary run = run_single(
-        lte, [&] { return make_c_libra(brain, /*training=*/false, params); },
+        lte, [&] { return make_c_libra(brain, params); },
         /*seed=*/3);
     std::string verdict = run.avg_delay_ms < 90 ? "playable" : "laggy";
     t.add_row({p.label, fmt_pct(run.link_utilization), fmt(run.avg_delay_ms, 1) + " ms",

@@ -3,8 +3,9 @@
 # experiment engine + parallel rollout collection + profiler, ASan+UBSan over
 # the whole suite except alloc_test, a flight-recorder trace round-trip smoke
 # test, a profiler-enabled smoke run, a telemetry smoke leg (sampled run ->
-# trace_summarize queries -> report_html), fleet smoke legs, and the
-# benchmark harness's own tests (perfbench/, built in its own tree).
+# trace_summarize queries -> report_html), fleet smoke legs, the benchmark
+# harness's own tests (perfbench/, built in its own tree) and its exact work
+# gate (scripts/perfbench_work.json).
 # `--bench` adds the opt-in benchmark regression leg (scripts/bench_regress.sh
 # against BENCH_seed.json).
 # CI (.github/workflows/ci.yml) runs the --no-sanitizers, --asan-only and
@@ -43,14 +44,14 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # The recorded per-ACK stream must reproduce the run's own summary: for
   # every flow, record_run's throughput, mean RTT and loss rate over
   # [1 s, 2 s) (read off its 10 ms window rows) must equal trace_summarize's
-  # row at the table's precision. --horizon=2 pins the trace's window to the
-  # run's end (by default it ends at the last traced event). A truncated or
-  # empty trace makes trace_summarize exit non-zero.
+  # row at the table's precision. The summary window ends at the trace's
+  # "run" event, the run's end. A truncated (no "run" event) or empty trace
+  # makes trace_summarize exit non-zero.
   TRACE_DIR="$(mktemp -d)"
   trap 'rm -rf "$TRACE_DIR"' EXIT
   ./build/tools/record_run --out="$TRACE_DIR/smoke.jsonl" --duration=2 \
     --flows=2 > "$TRACE_DIR/summary.json"
-  ./build/tools/trace_summarize --warmup=1 --horizon=2 \
+  ./build/tools/trace_summarize --warmup=1 \
     "$TRACE_DIR/smoke.jsonl" > "$TRACE_DIR/smoke.txt"
   grep -q "total: throughput" "$TRACE_DIR/smoke.txt" || {
     echo "trace round-trip: missing totals line" >&2; exit 1; }
@@ -71,6 +72,16 @@ if len(want) != 2 or rows != want:
     sys.exit("record_run %s != trace_summarize %s" % (want, rows))
 PY
     echo "trace round-trip: summary and trace disagree" >&2; exit 1; }
+  # Without its "run" line the trace is truncated: exit 1 unless --horizon
+  # says where the run ended.
+  head -n -1 "$TRACE_DIR/smoke.jsonl" > "$TRACE_DIR/cut.jsonl"
+  rc=0
+  ./build/tools/trace_summarize "$TRACE_DIR/cut.jsonl" > /dev/null \
+    2> "$TRACE_DIR/cut.err" || rc=$?
+  [[ "$rc" == 1 ]] && grep -q "truncated" "$TRACE_DIR/cut.err" || {
+    echo "trace round-trip: a trace without its run event exited $rc, want 1" >&2
+    exit 1; }
+  ./build/tools/trace_summarize --horizon=2 "$TRACE_DIR/cut.jsonl" > /dev/null
   # A malformed, non-positive or off-grid value must print usage and exit 2
   # — not abort, run a degenerate scenario or sample every microsecond.
   for bad in --rate=abc --duration=-1 --duration=2.005 --flows=2x \
@@ -109,16 +120,13 @@ PY
   echo "trace round-trip: ok"
 
   echo "== profiler smoke: profiled run + validated JSON artifacts =="
-  # A profiler-enabled run must still produce a valid trace (with the --meta
-  # speed line parsed by trace_summarize) and print a call tree containing
-  # the event-dispatch span; every JSON artifact must parse.
+  # A profiler-enabled run must still produce a valid trace and print a call
+  # tree containing the event-dispatch span; every JSON artifact must parse.
   ./build/tools/record_run --out="$TRACE_DIR/prof.jsonl" --duration=2 \
-    --meta --profile > "$TRACE_DIR/prof_summary.json" 2> "$TRACE_DIR/prof.err"
+    --profile > "$TRACE_DIR/prof_summary.json" 2> "$TRACE_DIR/prof.err"
   grep -q "sim.event" "$TRACE_DIR/prof.err" || {
     echo "profiler smoke: report missing sim.event span" >&2; exit 1; }
-  ./build/tools/trace_summarize --warmup=1 "$TRACE_DIR/prof.jsonl" \
-    | grep -q "x real time" || {
-    echo "profiler smoke: trace meta speed line missing" >&2; exit 1; }
+  ./build/tools/trace_summarize --warmup=1 "$TRACE_DIR/prof.jsonl" > /dev/null
   ./build/tools/json_check "$TRACE_DIR/prof_summary.json"
   ./build/tools/json_check --jsonl "$TRACE_DIR/prof.jsonl"
   echo "profiler smoke: ok"
@@ -258,6 +266,41 @@ PY
   (cd build-perfbench && ctest --output-on-failure -j "$JOBS")
   python3 -m unittest discover -s perfbench/tests -p 'test_*.py'
   echo "perfbench self-tests: ok"
+
+  echo "== perfbench work gate: exact work counters at --seed 1 =="
+  # Each workload's {"work": ...} line (events, acks, losses, drops, Libra and
+  # PPO counts, digest) must equal scripts/perfbench_work.json's entry for the
+  # kernel ISA it ran on, key by key: once under the host's dispatch, once
+  # under LIBRA_SIMD=off. allocs is left out: perfbench's counter misses
+  # over-aligned allocations. A change that moves a counter on purpose
+  # updates the file and says why in CHANGES.md.
+  cmake --build build-perfbench -j "$JOBS" --target perfbench
+  for simd in auto off; do
+    for w in paper train fleet; do
+      LIBRA_SIMD="$simd" ./build-perfbench/perfbench --workload "$w" --seed 1 \
+        --seconds 1 > "$TRACE_DIR/work_${simd}_$w.out"
+    done
+  done
+  python3 - scripts/perfbench_work.json "$TRACE_DIR"/work_*.out <<'PY' || {
+import json, sys
+want = json.load(open(sys.argv[1]))
+bad = 0
+for path in sys.argv[2:]:
+    lines = [json.loads(l) for l in open(path) if l.startswith("{")]
+    prov = next(l["provenance"] for l in lines if "provenance" in l)
+    got = next(l["work"] for l in lines if "work" in l)
+    ref = want[prov["isa"]][prov["workload"]]
+    keys = (set(ref) | set(got)) - {"allocs"}
+    for k in sorted(keys):
+        if ref.get(k) != got.get(k):
+            bad += 1
+            print("%s %s %s: %s, want %s" % (prov["workload"], prov["isa"], k,
+                                             got.get(k), ref.get(k)), file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+    echo "perfbench work gate: work counters differ from scripts/perfbench_work.json" >&2
+    exit 1; }
+  echo "perfbench work gate: ok"
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then

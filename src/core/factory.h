@@ -30,10 +30,10 @@ inline LibraParams b_libra_params() {
   return p;
 }
 
-inline std::unique_ptr<RlCca> libra_rl_component(std::shared_ptr<RlBrain> brain,
-                                                 bool training) {
+/// Libra's RL component runs a frozen, offline-trained policy (inference
+/// mode): the paper trains the RL CCA alone and deploys it inside Libra.
+inline std::unique_ptr<RlCca> libra_rl_component(std::shared_ptr<RlBrain> brain) {
   RlCcaConfig cfg = libra_rl_config();
-  cfg.training = training;
   cfg.external_control = true;  // Libra drives one decision per control cycle
   // x_rl stays a *sampled* policy output: Libra's evaluation stage is what
   // filters occasional bad draws (the framework's safety mechanism), so the
@@ -43,17 +43,15 @@ inline std::unique_ptr<RlCca> libra_rl_component(std::shared_ptr<RlBrain> brain,
 }
 
 inline std::unique_ptr<Libra> make_c_libra(std::shared_ptr<RlBrain> brain,
-                                           bool training = true,
                                            LibraParams params = c_libra_params()) {
   return std::make_unique<Libra>(params, std::make_unique<Cubic>(),
-                                 libra_rl_component(std::move(brain), training));
+                                 libra_rl_component(std::move(brain)));
 }
 
 inline std::unique_ptr<Libra> make_b_libra(std::shared_ptr<RlBrain> brain,
-                                           bool training = true,
                                            LibraParams params = b_libra_params()) {
   return std::make_unique<Libra>(params, std::make_unique<Bbr>(),
-                                 libra_rl_component(std::move(brain), training));
+                                 libra_rl_component(std::move(brain)));
 }
 
 /// Sec. 7: Libra over an arbitrary classic CCA (Westwood, Illinois, ...).
@@ -62,19 +60,17 @@ inline std::unique_ptr<Libra> make_b_libra(std::shared_ptr<RlBrain> brain,
 /// model-based) keep their own state, as BBR does.
 inline std::unique_ptr<Libra> make_libra_over(
     std::unique_ptr<CongestionControl> classic, std::shared_ptr<RlBrain> brain,
-    bool training = true, LibraParams params = c_libra_params()) {
+    LibraParams params = c_libra_params()) {
   params.name = "libra-" + classic->name();
   return std::make_unique<Libra>(params, std::move(classic),
-                                 libra_rl_component(std::move(brain), training));
+                                 libra_rl_component(std::move(brain)));
 }
 
-inline std::unique_ptr<Libra> make_clean_slate_libra(std::shared_ptr<RlBrain> brain,
-                                                     bool training = true) {
+inline std::unique_ptr<Libra> make_clean_slate_libra(std::shared_ptr<RlBrain> brain) {
   LibraParams p = c_libra_params();
   p.use_classic = false;
   p.name = "cl-libra";
-  return std::make_unique<Libra>(p, nullptr,
-                                 libra_rl_component(std::move(brain), training));
+  return std::make_unique<Libra>(p, nullptr, libra_rl_component(std::move(brain)));
 }
 
 }  // namespace libra

@@ -33,10 +33,7 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
   }
   net->run_until(scenario.duration);
   net->finalize_metrics();
-  if (obs.trace_meta) {
-    net->recorder().run_meta(scenario.duration, net->wall_time_s(),
-                             to_seconds(scenario.duration));
-  }
+  net->recorder().run_end(scenario.duration);
   net->recorder().flush();  // drain the ring tail to the sink (no-op without one)
   if (obs.telemetry.enabled) {
     if (!obs.telemetry.jsonl_path.empty()) {

@@ -57,10 +57,6 @@ struct ObsOptions {
   /// When non-empty, the trace streams to this file while recording (the ring
   /// flushes instead of overwriting), so runs of any length trace completely.
   std::string trace_path;
-  /// Appends an end-of-run "run" metadata event (wall/sim time, speed ratio)
-  /// to the trace. Off by default: wall time is host-dependent, and the
-  /// default trace must stay byte-identical for identical seeds.
-  bool trace_meta = false;
   /// Sampling telemetry (columnar per-flow/queue time series). Disabled by
   /// default; when enabled the sampler runs at telemetry.config's interval
   /// and the columnar store is dumped to the configured path(s) post-run.
@@ -76,7 +72,9 @@ std::unique_ptr<Network> run_scenario(const Scenario& scenario,
                                       std::uint64_t seed);
 
 /// As above, with observability: enables the flight recorder / trace sink per
-/// `obs`, and finalizes the network's metrics registry after the run.
+/// `obs`, and finalizes the network's metrics registry after the run. A
+/// recorded trace ends with one "run" event at the run's end (sim time only),
+/// which tells a trace reader where the run stopped.
 std::unique_ptr<Network> run_scenario(const Scenario& scenario,
                                       const std::vector<FlowSpec>& flows,
                                       std::uint64_t seed, const ObsOptions& obs);

@@ -51,12 +51,6 @@ EpisodeStats Trainer::run_in_env(const Scenario& env, const CcaFactory& make_cca
   return stats;
 }
 
-EpisodeStats Trainer::run_episode(const CcaFactory& make_cca) {
-  std::uint64_t run_seed = 0;
-  Scenario env = sample_env(run_seed);
-  return run_in_env(env, make_cca, run_seed);
-}
-
 void Trainer::emit_episode(int index, const EpisodeStats& stats) {
   if (!telemetry_) return;
   std::string line;
@@ -72,16 +66,6 @@ void Trainer::emit_episode(int index, const EpisodeStats& stats) {
   w.key("link_utilization").value(stats.link_utilization);
   w.end_object();
   telemetry_->write_line(line);
-}
-
-std::vector<EpisodeStats> Trainer::train(const CcaFactory& make_cca, int episodes) {
-  std::vector<EpisodeStats> curve;
-  curve.reserve(static_cast<std::size_t>(episodes));
-  for (int i = 0; i < episodes; ++i) {
-    curve.push_back(run_episode(make_cca));
-    emit_episode(i, curve.back());
-  }
-  return curve;
 }
 
 std::vector<EpisodeStats> Trainer::train_parallel(
@@ -138,7 +122,6 @@ std::vector<EpisodeStats> Trainer::train_parallel(
       job.env = sample_env(job.run_seed);
       PpoConfig cfg = brain->agent.config();
       cfg.seed = static_cast<std::uint64_t>(rng_.uniform_int(1, 1'000'000'000));
-      cfg.collect_only = true;
       job.collector =
           std::make_shared<RlBrain>(std::move(cfg), brain->normalizer.dim());
       job.collector->agent.copy_parameters_from(brain->agent);

@@ -5,18 +5,17 @@
 // 10 KB-5 MB, stochastic loss 0-10% — starts a new flow, and lets the shared
 // PPO brain learn across episodes.
 //
-// Two training modes:
-//  * train(): the seed's serial loop — every episode acts directly on the
-//    shared brain, updating mid-episode whenever the horizon fills.
-//  * train_parallel(): round-based parallel rollout collection. Each round
-//    snapshots the policy into per-episode collector brains (own RNG stream,
-//    frozen-reference normalizer), fans the episodes across a thread pool,
-//    then reduces transitions and normalizer deltas back into the master
-//    brain in episode order. The reduction is the only place the master brain
-//    mutates, so trained weights are bitwise identical at any thread count.
-//    Every PPO update the reduction triggers runs its actor and critic passes
-//    concurrently on the same pool (PpoAgent::ingest), which changes no bit
-//    of the weights either.
+// One training loop, train_parallel(), in rounds: each round snapshots the
+// policy into per-episode collector brains (own RNG stream, frozen-reference
+// normalizer), fans the episodes across a thread pool, then reduces
+// transitions and normalizer deltas back into the master brain in episode
+// order. The reduction is the only place the master brain mutates, so
+// trained weights are bitwise identical at any thread count. Every PPO update
+// the reduction triggers runs its actor and critic passes concurrently on the
+// same pool (PpoAgent::ingest), which changes no bit of the weights either.
+// No transition crosses an episode: each episode's rollout ends with `done`
+// set, and its last action, whose reward would come from the next episode,
+// is dropped.
 //
 // Telemetry: set_telemetry() attaches a LineSink; training then streams one
 // JSON object per line — {"ev":"episode",...} per finished episode,
@@ -56,9 +55,9 @@ struct EpisodeStats {
   double link_utilization = 0;
 };
 
-/// Builds a controller bound to the given brain (training mode on) — the
-/// factory shape parallel rollout collection needs, since each episode runs
-/// against its own collector snapshot of the master brain.
+/// Builds a training-mode controller bound to the given brain. Each episode
+/// runs against its own collector snapshot of the master brain, so the
+/// factory must bind the brain it is handed, never a captured one.
 using BrainBoundFactory =
     std::function<std::unique_ptr<CongestionControl>(const std::shared_ptr<RlBrain>&)>;
 
@@ -71,14 +70,7 @@ class Trainer {
   Trainer(TrainEnvRanges ranges, std::uint64_t seed)
       : ranges_(ranges), rng_(seed) {}
 
-  /// Runs one episode in a freshly sampled environment; the factory must bind
-  /// the controller to the brain being trained (training mode on).
-  EpisodeStats run_episode(const CcaFactory& make_cca);
-
-  /// Runs `episodes` episodes serially; returns per-episode stats.
-  std::vector<EpisodeStats> train(const CcaFactory& make_cca, int episodes);
-
-  /// Round-based parallel rollout collection into `brain` (see file header).
+  /// Trains `brain` for `episodes` episodes, in rounds (see file header).
   /// `round_size` episodes are collected per policy snapshot; it is a fixed
   /// algorithm parameter — results depend on it, but NOT on the pool's thread
   /// count. Episode stats come back in episode order.

@@ -119,8 +119,7 @@ std::shared_ptr<RlBrain> CcaZoo::train_or_load(const std::string& family) {
     trainer.set_telemetry(StreamLineSink::open_file(
         config_.brain_dir + "/" + family + ".train.jsonl"));
   }
-  trainer.train_parallel(train_factory, brain, config_.train_episodes,
-                         default_pool(), config_.rollout_round);
+  trainer.train_parallel(train_factory, brain, config_.train_episodes, default_pool());
   if (!path.empty()) save_brain(*brain, path);
   return brain;
 }
@@ -146,11 +145,7 @@ CcaFactory CcaZoo::factory(const std::string& name) {
   }
   if (name == "orca") {
     auto b = brain("orca");
-    return [b] {
-      OrcaParams p;
-      p.training = false;
-      return std::make_unique<Orca>(p, b);
-    };
+    return [b] { return std::make_unique<Orca>(OrcaParams{}, b); };
   }
   if (name == "modified-rl") {
     auto b = brain("modified-rl");
@@ -162,15 +157,15 @@ CcaFactory CcaZoo::factory(const std::string& name) {
   }
   if (name == "c-libra") {
     auto b = brain("libra-rl");
-    return [b] { return make_c_libra(b, /*training=*/false); };
+    return [b] { return make_c_libra(b); };
   }
   if (name == "b-libra") {
     auto b = brain("libra-rl");
-    return [b] { return make_b_libra(b, /*training=*/false); };
+    return [b] { return make_b_libra(b); };
   }
   if (name == "cl-libra") {
     auto b = brain("libra-rl");
-    return [b] { return make_clean_slate_libra(b, /*training=*/false); };
+    return [b] { return make_clean_slate_libra(b); };
   }
   throw std::out_of_range("CcaZoo: unknown CCA " + name);
 }

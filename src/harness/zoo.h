@@ -24,10 +24,6 @@ struct ZooConfig {
   /// sizes. The overhead benches use 512 to measure paper-scale model cost.
   std::size_t hidden_width = 64;
   std::uint64_t seed = 42;
-  /// Episodes collected per policy snapshot during training (see
-  /// Trainer::train_parallel). A fixed algorithm parameter: changing it
-  /// changes the trained policy, changing the thread count does not.
-  int rollout_round = 8;
   /// Stream training telemetry (learning curves, PPO update stats) to
   /// `<brain_dir>/<family>.train.jsonl` while training. Needs brain_dir;
   /// pure observation — the trained weights are identical either way.

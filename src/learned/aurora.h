@@ -28,7 +28,7 @@ inline RlCcaConfig aurora_config() {
 }
 
 inline std::unique_ptr<RlCca> make_aurora(std::shared_ptr<RlBrain> brain,
-                                          bool training = true) {
+                                          bool training) {
   RlCcaConfig cfg = aurora_config();
   cfg.training = training;
   return std::make_unique<RlCca>(cfg, std::move(brain));

@@ -24,7 +24,7 @@ inline std::shared_ptr<RlBrain> make_libra_rl_brain(std::uint64_t seed = 17) {
 }
 
 inline std::unique_ptr<RlCca> make_libra_rl(std::shared_ptr<RlBrain> brain,
-                                            bool training = true) {
+                                            bool training) {
   RlCcaConfig cfg = libra_rl_config();
   cfg.training = training;
   return std::make_unique<RlCca>(cfg, std::move(brain));
@@ -39,7 +39,7 @@ inline RlCcaConfig modified_rl_config() {
 }
 
 inline std::unique_ptr<RlCca> make_modified_rl(std::shared_ptr<RlBrain> brain,
-                                               bool training = true) {
+                                               bool training) {
   RlCcaConfig cfg = modified_rl_config();
   cfg.training = training;
   return std::make_unique<RlCca>(cfg, std::move(brain));

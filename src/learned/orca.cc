@@ -123,8 +123,8 @@ void Orca::maybe_decide(SimTime now) {
   if (params_.training) {
     a = brain_->agent.act(state);
   } else if (params_.stochastic_inference) {
-    // Same draw distribution as PpoAgent::act_sampled, private RNG stream
-    // (keeps parallel runs race-free and individually deterministic).
+    // Same draw distribution as PpoAgent::act, private RNG stream (keeps
+    // parallel runs race-free and individually deterministic).
     a = brain_->agent.act_greedy(state) +
         brain_->agent.exploration_stddev() * sample_rng_.normal();
   } else {

@@ -18,7 +18,9 @@ struct OrcaParams {
   /// max(decision_period, smoothed RTT), as in Orca's max(20 ms, RTT).
   SimDuration decision_period = msec(20);
   double action_scale = 2.0;                // cwnd multiplier in [1/4, 4]
-  bool training = true;
+  /// Records transitions and updates the normalizer for the trainer
+  /// (Trainer::train_parallel). Off: a frozen, deployed policy.
+  bool training = false;
   /// Deployed Orca keeps sampling its stochastic policy; those occasional
   /// inappropriate multipliers are exactly the behaviour the paper's Fig. 2b
   /// safety analysis attributes Orca's variability to.

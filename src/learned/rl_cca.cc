@@ -250,7 +250,7 @@ void RlCca::learn_and_act(const MiReport& report) {
     action = brain_->agent.act(state);
   } else if (config_.stochastic_inference) {
     // Sample the policy with this instance's own RNG: the draw distribution
-    // matches PpoAgent::act_sampled, but the stream is private, so concurrent
+    // matches PpoAgent::act, but the stream is private, so concurrent
     // runs sharing a frozen brain stay race-free and per-run deterministic.
     action = brain_->agent.act_greedy(state) +
              brain_->agent.exploration_stddev() * sample_rng_.normal();

@@ -9,7 +9,9 @@
 //
 // The PPO agent and state normalizer live in a shared RlBrain so that one
 // trained policy can drive many flows/episodes (training persists across
-// simulator instances).
+// simulator instances). A controller is in inference mode unless its config
+// sets `training`; a training-mode controller only records transitions into
+// its brain, and Trainer::train_parallel is the loop that learns from them.
 #pragma once
 
 #include <memory>
@@ -71,7 +73,9 @@ struct RlCcaConfig {
   RateBps initial_rate = mbps(2.5);
   RateBps min_rate = kbps(80);
   RateBps max_rate = mbps(400);
-  bool training = true;             // sample actions + learn; false = inference
+  /// Sample actions and record transitions and normalizer statistics for
+  /// Trainer::train_parallel. Off: a frozen, deployed policy.
+  bool training = false;
   /// Inference-mode behaviour: sample the stochastic policy (how DRL CCAs
   /// actually deploy — source of the variability Fig. 2b studies) instead of
   /// taking the mean action.
@@ -133,9 +137,9 @@ class RlCca : public CongestionControl {
   /// External-control mode (Libra, Alg. 1): opens a measurement interval at
   /// the start of the exploration stage with the cycle's base rate.
   void external_begin(SimTime now, RateBps base_rate);
-  /// Closes the interval, learns from it, and returns the agent's backup rate
-  /// decision x_rl (base * 2^a). If no ACKs arrived during the interval the
-  /// previous decision is held (Sec. 3).
+  /// Closes the interval and returns the agent's backup rate decision x_rl
+  /// (base * 2^a). If no ACKs arrived during the interval the previous
+  /// decision is held (Sec. 3).
   RateBps external_decide(SimTime now);
 
   /// Cumulative reward and MI count since the last reset (episode metrics).

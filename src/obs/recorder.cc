@@ -153,9 +153,6 @@ void FlightRecorder::append_jsonl(const TraceEvent& ev, std::string& out) {
       w.key("v1").value(ev.b);
       break;
     case TraceKind::kRun:
-      w.key("wall_s").value(ev.a);
-      w.key("sim_s").value(ev.b);
-      w.key("speedup").value(ev.c);
       break;
     case TraceKind::kEcn:
       w.key("seq").value(ev.seq);

@@ -38,7 +38,7 @@ enum class TraceKind : std::uint8_t {
   kStage,         // Libra control-cycle stage transition
   kCycle,         // Libra per-cycle result (utilities + winner)
   kCca,           // CCA-internal event (code is algorithm-specific)
-  kRun,           // end-of-run metadata (wall/sim time, speed ratio)
+  kRun,           // end of the run (sim time only)
   kEcn,           // packet CE-marked by a queue instead of dropped
   kPolicer,       // token-bucket policer action (drop or mark)
 };
@@ -156,14 +156,12 @@ class FlightRecorder {
           marked ? 1.0 : 0.0});
   }
 
-  /// End-of-run metadata line: wall-clock seconds spent simulating vs
-  /// simulated seconds covered. Emitted only when ObsOptions::trace_meta is
-  /// set — the default trace stays a pure function of the seed, so the
-  /// byte-identical-trace determinism guarantee is unaffected.
-  void run_meta(SimTime t, double wall_s, double sim_s) {
+  /// The run ended at `t`: the last event of every trace run_scenario
+  /// records, and trace readers' default window end. It carries sim time
+  /// only, so a trace stays a pure function of the seed.
+  void run_end(SimTime t) {
     if (!enabled_) return;
-    push({t, -1, TraceKind::kRun, 0, wall_s, sim_s,
-          wall_s > 0 ? sim_s / wall_s : 0.0});
+    push({t, -1, TraceKind::kRun});
   }
 
   // --- drain / inspect -----------------------------------------------------

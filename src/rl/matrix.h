@@ -261,90 +261,6 @@ inline void gemm_transB(const Matrix& a, const Matrix& b, Matrix& c,
   }
 }
 
-/// Cache-blocked gemm_transB, sized for wide (512-unit) layers. C = A * B^T
-/// (+ C when `accumulate`). A (m x k), B (n x k), C (m x n).
-///
-/// At 512x512 a weight matrix is 2 MB — far past L2 — so the flat kernel
-/// streams the whole of B from memory for every pair of A rows. This variant
-/// tiles B's rows (jb output neurons at a time) and the shared k dimension
-/// (kb inputs at a time) so one (jb x kb) panel of B — 128 KB at the default
-/// tile — is reused across every row of A before moving on.
-///
-/// Bitwise identity with gemm_transB: the microkernel always accumulates into
-/// C, so each c(i,j) is extended in place across k tiles, visited in
-/// increasing-k order — exactly the flat kernel's single sequential sum.
-inline void gemm_transB_blocked(const Matrix& a, const Matrix& b, Matrix& c,
-                                bool accumulate = false, std::size_t jb = 64,
-                                std::size_t kb = 256) {
-  assert(a.cols() == b.cols() && "gemm_transB_blocked: inner dim mismatch");
-  assert(c.rows() == a.rows() && c.cols() == b.rows() &&
-         "gemm_transB_blocked: out dim mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const double* adata = a.data().data();
-  const double* bdata = b.data().data();
-  double* cdata = c.data().data();
-  if (simd::use_avx2()) {
-    // The AVX2 dot contract is never split across k tiles (that would change
-    // the accumulation tree), so the blocked variant tiles only B's rows; kb
-    // is accepted for interface compatibility and ignored.
-    simd::gemm_transB_blocked_avx2(adata, bdata, cdata, m, k, n, accumulate, jb);
-    return;
-  }
-  if (!accumulate) c.fill(0.0);
-
-  for (std::size_t k0 = 0; k0 < k; k0 += kb) {
-    const std::size_t k1 = std::min(k, k0 + kb);
-    for (std::size_t j0 = 0; j0 < n; j0 += jb) {
-      const std::size_t j1 = std::min(n, j0 + jb);
-      // 2x4 register-blocked microkernel over the panel, accumulating into C.
-      std::size_t i = 0;
-      for (; i + 2 <= m; i += 2) {
-        const double* a0 = adata + i * k;
-        const double* a1 = a0 + k;
-        double* c0 = cdata + i * n;
-        double* c1 = c0 + n;
-        std::size_t j = j0;
-        for (; j + 4 <= j1; j += 4) {
-          const double* b0 = bdata + j * k;
-          const double* b1 = b0 + k;
-          const double* b2 = b1 + k;
-          const double* b3 = b2 + k;
-          double s00 = c0[j], s01 = c0[j + 1], s02 = c0[j + 2], s03 = c0[j + 3];
-          double s10 = c1[j], s11 = c1[j + 1], s12 = c1[j + 2], s13 = c1[j + 3];
-          for (std::size_t p = k0; p < k1; ++p) {
-            const double x0 = a0[p], x1 = a1[p];
-            const double w0 = b0[p], w1 = b1[p], w2 = b2[p], w3 = b3[p];
-            s00 += x0 * w0; s01 += x0 * w1; s02 += x0 * w2; s03 += x0 * w3;
-            s10 += x1 * w0; s11 += x1 * w1; s12 += x1 * w2; s13 += x1 * w3;
-          }
-          c0[j] = s00; c0[j + 1] = s01; c0[j + 2] = s02; c0[j + 3] = s03;
-          c1[j] = s10; c1[j + 1] = s11; c1[j + 2] = s12; c1[j + 3] = s13;
-        }
-        for (; j < j1; ++j) {
-          const double* brow = bdata + j * k;
-          double s0 = c0[j], s1 = c1[j];
-          for (std::size_t p = k0; p < k1; ++p) {
-            s0 += a0[p] * brow[p];
-            s1 += a1[p] * brow[p];
-          }
-          c0[j] = s0;
-          c1[j] = s1;
-        }
-      }
-      for (; i < m; ++i) {
-        const double* arow = adata + i * k;
-        double* crow = cdata + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const double* brow = bdata + j * k;
-          double acc = crow[j];
-          for (std::size_t p = k0; p < k1; ++p) acc += arow[p] * brow[p];
-          crow[j] = acc;
-        }
-      }
-    }
-  }
-}
-
 /// Every row of `m` += `row` (bias broadcast over a batch).
 inline void add_row_broadcast(Matrix& m, const Vector& row) {
   assert(m.cols() == row.size() && "add_row_broadcast: dim mismatch");

@@ -23,7 +23,7 @@ namespace {
 
 // --- The shared dot-product contract ---------------------------------------
 //
-// Every dot product (matvec, gemm_transB flat/blocked, any register blocking)
+// Every dot product (matvec, gemm_transB, any register blocking)
 // is the same sequence of FP operations per output element: two 4-lane FMA
 // chains over k in steps of 8, a fixed reduction tree, then the k%8 tail in
 // scalar index order via std::fma. Register-blocked variants below interleave
@@ -108,20 +108,17 @@ inline void dot_2x2(const double* a0, const double* a1, const double* b0,
   s11 = fma_tail(a1, b1, p, k, reduce_tree(q12, q13));
 }
 
-// gemm_transB over the B-row panel [j0, j1). The flat kernel is the full
-// panel; the blocked kernel calls this per tile (locality only — the dot
-// contract is never split).
-void transB_panel(const double* a, const double* b, double* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool accumulate,
-                  std::size_t j0, std::size_t j1) {
+// C (m x n) = A (m x k) * B^T (n x k), += C when `accumulate`.
+void transB(const double* a, const double* b, double* c, std::size_t m,
+            std::size_t k, std::size_t n, bool accumulate) {
   std::size_t i = 0;
   for (; i + 2 <= m; i += 2) {
     const double* a0 = a + i * k;
     const double* a1 = a0 + k;
     double* c0 = c + i * n;
     double* c1 = c0 + n;
-    std::size_t j = j0;
-    for (; j + 2 <= j1; j += 2) {
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
       double s00, s01, s10, s11;
       dot_2x2(a0, a1, b + j * k, b + (j + 1) * k, k, s00, s01, s10, s11);
       c0[j] = accumulate ? c0[j] + s00 : s00;
@@ -129,7 +126,7 @@ void transB_panel(const double* a, const double* b, double* c, std::size_t m,
       c1[j] = accumulate ? c1[j] + s10 : s10;
       c1[j + 1] = accumulate ? c1[j + 1] + s11 : s11;
     }
-    for (; j < j1; ++j) {
+    for (; j < n; ++j) {
       double s0, s1;
       dot_1x2(b + j * k, a0, a1, k, s0, s1);  // mul commutes: dot(b,a)==dot(a,b)
       c0[j] = accumulate ? c0[j] + s0 : s0;
@@ -139,14 +136,14 @@ void transB_panel(const double* a, const double* b, double* c, std::size_t m,
   for (; i < m; ++i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
-    std::size_t j = j0;
-    for (; j + 2 <= j1; j += 2) {
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
       double s0, s1;
       dot_1x2(arow, b + j * k, b + (j + 1) * k, k, s0, s1);
       crow[j] = accumulate ? crow[j] + s0 : s0;
       crow[j + 1] = accumulate ? crow[j + 1] + s1 : s1;
     }
-    for (; j < j1; ++j) {
+    for (; j < n; ++j) {
       const double s = dot1(arow, b + j * k, k);
       crow[j] = accumulate ? crow[j] + s : s;
     }
@@ -158,22 +155,12 @@ void transB_panel(const double* a, const double* b, double* c, std::size_t m,
 void gemm_transB_avx2(const double* a, const double* b, double* c,
                       std::size_t m, std::size_t k, std::size_t n,
                       bool accumulate) {
-  transB_panel(a, b, c, m, k, n, accumulate, 0, n);
-}
-
-void gemm_transB_blocked_avx2(const double* a, const double* b, double* c,
-                              std::size_t m, std::size_t k, std::size_t n,
-                              bool accumulate, std::size_t jb) {
-  if (jb == 0) jb = n;
-  for (std::size_t j0 = 0; j0 < n; j0 += jb) {
-    const std::size_t j1 = j0 + jb < n ? j0 + jb : n;
-    transB_panel(a, b, c, m, k, n, accumulate, j0, j1);
-  }
+  transB(a, b, c, m, k, n, accumulate);
 }
 
 void matvec_avx2(const double* w, const double* x, double* y, std::size_t rows,
                  std::size_t cols) {
-  transB_panel(x, w, y, 1, cols, rows, /*accumulate=*/false, 0, rows);
+  transB(x, w, y, 1, cols, rows, /*accumulate=*/false);
 }
 
 void gemm_avx2(const double* a, const double* b, double* c, std::size_t m,
@@ -553,11 +540,6 @@ bool compiled_with_avx2() { return false; }
 
 void gemm_transB_avx2(const double*, const double*, double*, std::size_t,
                       std::size_t, std::size_t, bool) {
-  std::abort();
-}
-void gemm_transB_blocked_avx2(const double*, const double*, double*,
-                              std::size_t, std::size_t, std::size_t, bool,
-                              std::size_t) {
   std::abort();
 }
 void matvec_avx2(const double*, const double*, double*, std::size_t,

@@ -6,13 +6,11 @@
 // non-AVX2 builds abort).
 //
 // Accumulation-order contract (asserted by tests/simd_test.cc):
-//  - dot_contract kernels (gemm_transB, gemm_transB_blocked, matvec, one
-//    shared microkernel): per output element, two 4-lane vertical accumulator
-//    chains step k by 8 and are reduced in a fixed tree
-//    ((l0+l2)+(l1+l3) then +tail); the k%8 remainder is folded in scalar
-//    index order with std::fma. No k-tiling of the reduction — the blocked
-//    variant blocks only for cache locality — so flat, blocked, batched and
-//    per-sample results are mutually bitwise identical.
+//  - dot_contract kernels (gemm_transB, matvec, one shared microkernel): per
+//    output element, two 4-lane vertical accumulator chains step k by 8 and
+//    are reduced in a fixed tree ((l0+l2)+(l1+l3) then +tail); the k%8
+//    remainder is folded in scalar index order with std::fma. No k-tiling of
+//    the reduction, so batched and per-sample results are bitwise identical.
 //  - axpy-order kernels (gemm, gemm_transA, axpy, adam_span): identical
 //    per-element sequential accumulation order as the scalar kernels; FMA
 //    contraction is the only difference (ULP-level, single rounding).
@@ -31,12 +29,6 @@ namespace libra::simd {
 void gemm_transB_avx2(const double* a, const double* b, double* c,
                       std::size_t m, std::size_t k, std::size_t n,
                       bool accumulate);
-
-// Cache-blocked variant: identical arithmetic (the dot contract is never
-// split across k tiles), blocked over B rows purely for locality.
-void gemm_transB_blocked_avx2(const double* a, const double* b, double* c,
-                              std::size_t m, std::size_t k, std::size_t n,
-                              bool accumulate, std::size_t jb);
 
 // y (rows) = W (rows x cols) * x (cols). Same dot contract as gemm_transB
 // with m == 1, so per-sample inference matches batched rows bitwise.

@@ -74,16 +74,8 @@ void Mlp::forward_batch(MlpWorkspace& ws) const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     Matrix& z = ws.acts[i + 1];
     z.resize(batch, sizes_[i + 1]);
-    // z = acts_i * W^T + b, row-broadcast. Wide layers (512x512 is 2 MB of
-    // weights) go through the cache-blocked kernel, which is bitwise
-    // identical to the flat one; narrow layers stay on the flat kernel where
-    // the tiling loop overhead isn't paid for.
-    const Matrix& w = layers_[i].weights;
-    if (batch >= 4 && w.size() >= 32768) {
-      gemm_transB_blocked(ws.acts[i], w, z);
-    } else {
-      gemm_transB(ws.acts[i], w, z);
-    }
+    // z = acts_i * W^T + b, row-broadcast.
+    gemm_transB(ws.acts[i], layers_[i].weights, z);
     add_row_broadcast(z, layers_[i].bias);
     if (i + 1 < layers_.size()) {
       tanh_inplace(z.data().data(), z.data().size());

@@ -57,8 +57,6 @@ double PpoAgent::act(const Vector& state) {
     throw std::invalid_argument("PpoAgent::act: state dim mismatch");
 
   double value = critic_->evaluate1(state);
-  if (!config_.collect_only && buffer_.size() >= config_.horizon) update(value, nullptr);
-
   double mean = actor_->evaluate1(state);
   double action = mean + std::exp(log_std_) * rng_.normal();
 
@@ -75,12 +73,6 @@ double PpoAgent::act_greedy(const Vector& state) const {
   if (state.size() != config_.state_dim)
     throw std::invalid_argument("PpoAgent::act_greedy: state dim mismatch");
   return actor_->evaluate1(state);
-}
-
-double PpoAgent::act_sampled(const Vector& state) {
-  if (state.size() != config_.state_dim)
-    throw std::invalid_argument("PpoAgent::act_sampled: state dim mismatch");
-  return actor_->evaluate1(state) + std::exp(log_std_) * rng_.normal();
 }
 
 void PpoAgent::give_reward(double reward, bool done) {
@@ -109,8 +101,7 @@ std::vector<PpoTransition> PpoAgent::take_transitions(bool mark_final_done) {
 void PpoAgent::ingest(std::vector<PpoTransition> batch, ThreadPool* pool) {
   for (PpoTransition& t : batch) {
     // Bootstrap from the incoming transition's recorded value: V(s_next) under
-    // the policy that collected it — the ordered-replay analogue of act()'s
-    // "update before acting on the state that overflows the horizon".
+    // the policy that collected it.
     if (buffer_.size() >= config_.horizon) update(t.value, pool);
     buffer_.push_back(std::move(t));
   }

@@ -6,9 +6,11 @@
 // The update path is batched and allocation-free: minibatch state/advantage/
 // old-logp matrices are assembled once per epoch slice into workspaces sized
 // at construction, and the batched MLP kernels plus slab-fused Adam do the
-// rest. Rollout collection can be decoupled from learning (collect_only +
-// take_transitions/ingest), which is what lets the trainer fan episodes out
-// across threads and reduce them back deterministically.
+// rest. Rollout collection is decoupled from learning: act() and
+// give_reward() only record, take_transitions() hands the rollout over, and
+// ingest()/flush_update() run the updates. That split is what lets the
+// trainer fan episodes out across threads and reduce them back
+// deterministically.
 //
 // An update is two independent passes over the same rollout: the actor pass
 // (policy forward, clipped-surrogate gradient, backward, actor and log-std
@@ -52,10 +54,6 @@ struct PpoConfig {
   double min_log_std = -3.0;
   double max_log_std = 0.7;
   std::uint64_t seed = 7;
-  /// Rollout-collection mode: act() records transitions but never triggers a
-  /// policy update. Collector agents (one per parallel episode) run with this
-  /// set; the master agent ingests their transitions in episode order.
-  bool collect_only = false;
 };
 
 /// Training-dynamics snapshot of one policy update, averaged over every
@@ -87,18 +85,13 @@ class PpoAgent {
  public:
   explicit PpoAgent(PpoConfig config);
 
-  /// Samples an action for `state`, recording the transition context. May run
-  /// a policy update first if the rollout buffer is full (bootstrapping from
-  /// this state's value) — unless configured collect_only.
+  /// Samples an action for `state` and opens a transition with it. Never
+  /// updates the policy: the recorded rollout reaches the learner through
+  /// take_transitions() and ingest().
   double act(const Vector& state);
 
   /// Returns the policy mean without sampling or recording (inference mode).
   double act_greedy(const Vector& state) const;
-
-  /// Samples from the policy without recording a transition: stochastic
-  /// inference, the deployment mode of systems like Orca whose occasional
-  /// unexpected decisions the paper analyzes.
-  double act_sampled(const Vector& state);
 
   /// Completes the transition opened by the last act(). `done` marks an
   /// episode boundary (GAE does not bootstrap across it).

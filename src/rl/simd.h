@@ -14,9 +14,9 @@
 //  - kAvx2 dot-product kernels use one uniform accumulation structure: two
 //    4-lane vertical accumulator chains stepping k by 8, reduced in a fixed
 //    tree, with the k%8 remainder folded in scalar index order via std::fma.
-//    Every dot product in the process — matvec, flat and blocked gemm_transB,
-//    any batch size — shares that structure, so per-sample and batched
-//    inference stay bitwise identical to each other, just as in scalar mode.
+//    Every dot product in the process — matvec, gemm_transB, any batch
+//    size — shares that structure, so per-sample and batched inference stay
+//    bitwise identical to each other, just as in scalar mode.
 //  - Axpy-style kernels (gemm, gemm_transA, axpy, Adam) keep the scalar
 //    per-element accumulation order; the only cross-ISA drift is FMA's single
 //    rounding, which the ULP-bound tests in tests/simd_test.cc assert.

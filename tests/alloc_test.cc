@@ -106,7 +106,6 @@ TEST(PpoAllocation, UpdateIsAllocationFreeAfterWarmup) {
   cfg.horizon = 256;
   cfg.minibatch = 64;
   cfg.seed = 3;
-  cfg.collect_only = true;  // fill without auto-triggered updates
   PpoAgent agent(cfg);
   Rng rng(4);
 
@@ -137,7 +136,6 @@ TEST(PpoAllocation, UpdateIsAllocationFreeOnBothKernelPaths) {
   cfg.horizon = 256;
   cfg.minibatch = 64;
   cfg.seed = 3;
-  cfg.collect_only = true;
   PpoAgent agent(cfg);
   Rng rng(4);
   fill_buffer(agent, rng);
@@ -168,7 +166,6 @@ std::size_t pooled_update_allocations(std::size_t horizon) {
   cfg.horizon = horizon;
   cfg.minibatch = 64;
   cfg.seed = 3;
-  cfg.collect_only = true;
   PpoAgent agent(cfg);
   ThreadPool pool(2);
   Rng rng(4);

@@ -32,7 +32,7 @@ TEST_P(LibraOverClassic, ConvergesOnFriendlyLink) {
   s.duration = sec(20);
   auto brain = tiny_brain();
   RunSummary sum = run_single(
-      s, [&] { return make_libra_over(make_classic(GetParam()), brain, false); },
+      s, [&] { return make_libra_over(make_classic(GetParam()), brain); },
       5);
   EXPECT_GT(sum.link_utilization, 0.6) << GetParam();
   EXPECT_LT(sum.avg_delay_ms, 150.0) << GetParam();
@@ -43,7 +43,7 @@ INSTANTIATE_TEST_SUITE_P(Classics, LibraOverClassic,
 
 TEST(LibraOverClassic, NameReflectsComponent) {
   auto brain = tiny_brain();
-  auto cca = make_libra_over(std::make_unique<Westwood>(), brain, false);
+  auto cca = make_libra_over(std::make_unique<Westwood>(), brain);
   EXPECT_EQ(cca->name(), "libra-westwood");
 }
 
@@ -54,7 +54,7 @@ TEST(ExtremeProfiles, LibraSurvivesSatellite) {
   s.duration = sec(40);
   auto brain = tiny_brain();
   RunSummary sum = run_single(
-      s, [&] { return make_c_libra(brain, false); }, 3, sec(10));
+      s, [&] { return make_c_libra(brain); }, 3, sec(10));
   EXPECT_GT(sum.total_throughput_bps, mbps(0.5));
 }
 
@@ -62,7 +62,7 @@ TEST(ExtremeProfiles, LibraSurvivesFiveG) {
   Scenario s = fiveg_scenario();
   s.duration = sec(25);
   auto brain = tiny_brain();
-  RunSummary sum = run_single(s, [&] { return make_c_libra(brain, false); }, 3);
+  RunSummary sum = run_single(s, [&] { return make_c_libra(brain); }, 3);
   EXPECT_GT(sum.link_utilization, 0.2);
 }
 
@@ -76,7 +76,7 @@ TEST(FailureInjection, RecoversFromInitialBlackout) {
   cfg.propagation_delay = msec(15);
   Network net(std::move(cfg));
   auto brain = tiny_brain();
-  net.add_flow(make_c_libra(brain, false));
+  net.add_flow(make_c_libra(brain));
   net.run_until(sec(20));
   EXPECT_GT(net.flow(0).throughput_in(sec(10), sec(20)), mbps(5));
 }
@@ -127,7 +127,7 @@ TEST(SafetyAssurance, LibraUtilizationTightAcrossSeeds) {
   double lo = 1.0, hi = 0.0;
   for (int seed = 0; seed < 5; ++seed) {
     RunSummary sum = run_single(
-        s, [&] { return make_c_libra(brain, false); },
+        s, [&] { return make_c_libra(brain); },
         static_cast<std::uint64_t>(seed));
     lo = std::min(lo, sum.link_utilization);
     hi = std::max(hi, sum.link_utilization);

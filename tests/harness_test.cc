@@ -12,6 +12,7 @@
 #include "harness/trainer.h"
 #include "harness/zoo.h"
 #include "learned/libra_rl.h"
+#include "util/thread_pool.h"
 
 namespace libra {
 namespace {
@@ -199,12 +200,24 @@ TEST(Runner, CodelScenarioMatchesHandBuiltNetwork) {
   EXPECT_EQ(got.flows[0].loss_rate, want.flows[0].loss_rate);
 }
 
+// Five short episodes at round size 2: two full rounds and a partial one.
+std::vector<EpisodeStats> train_five_episodes(std::uint64_t brain_seed,
+                                              std::uint64_t trainer_seed) {
+  auto brain = make_libra_rl_brain(brain_seed);
+  TrainEnvRanges ranges;
+  ranges.episode_length = sec(2);
+  Trainer trainer(ranges, trainer_seed);
+  ThreadPool pool(2);
+  return trainer.train_parallel(
+      [](const std::shared_ptr<RlBrain>& b) { return make_libra_rl(b, true); },
+      brain, 5, pool, /*round_size=*/2);
+}
+
 TEST(Trainer, EpisodeProducesMetrics) {
-  auto brain = make_libra_rl_brain(3);
-  Trainer trainer({}, 5);
-  EpisodeStats ep = trainer.run_episode([&] { return make_libra_rl(brain, true); });
-  EXPECT_GT(ep.steps, 0);
-  EXPECT_GT(ep.throughput_bps, 0);
+  for (const EpisodeStats& ep : train_five_episodes(3, 5)) {
+    EXPECT_GT(ep.steps, 0);
+    EXPECT_GT(ep.throughput_bps, 0);
+  }
 }
 
 TEST(Trainer, RewardExtractorHandlesNonRl) {
@@ -213,12 +226,7 @@ TEST(Trainer, RewardExtractorHandlesNonRl) {
 }
 
 TEST(Trainer, CurveHasRequestedLength) {
-  auto brain = make_libra_rl_brain(4);
-  TrainEnvRanges ranges;
-  ranges.episode_length = sec(2);
-  Trainer trainer(ranges, 6);
-  auto curve = trainer.train([&] { return make_libra_rl(brain, true); }, 5);
-  EXPECT_EQ(curve.size(), 5u);
+  EXPECT_EQ(train_five_episodes(4, 6).size(), 5u);
 }
 
 TEST(Zoo, AllNamesConstructible) {

@@ -326,6 +326,22 @@ TEST(FlightRecorder, IdenticalSeedsProduceByteIdenticalTraces) {
   }
 }
 
+TEST(FlightRecorder, RecordedRunEndsWithOneRunEvent) {
+  // Trace readers take the run's end from the trace: its last line is the
+  // one "run" event, at the scenario's duration, with sim time only.
+  const std::string path = ::testing::TempDir() + "obs_run_end.jsonl";
+  RunRequest req = cubic_request(42);
+  ObsOptions obs;
+  obs.record = true;
+  obs.trace_path = path;
+  run_scenario(req.scenario, req.flows, req.seed, obs);
+  const std::string trace = read_file(path);
+  ASSERT_GT(trace.size(), 1u);
+  const std::size_t last = trace.rfind('\n', trace.size() - 2) + 1;
+  EXPECT_EQ(trace.substr(last), "{\"t\":3,\"ev\":\"run\"}\n");
+  EXPECT_EQ(trace.find("\"ev\":\"run\""), trace.rfind("\"ev\":\"run\""));
+}
+
 TEST(FlightRecorder, RecordingDoesNotPerturbTheSimulation) {
   RunRequest req = cubic_request(7);
 

@@ -211,7 +211,7 @@ TEST(RunMany, BitwiseIdenticalToSerialForLearnedCca) {
   RlCcaConfig cfg = libra_rl_config();
   auto brain = std::make_shared<RlBrain>(make_ppo_config(cfg, 3, {8, 8}),
                                          feature_frame_size(cfg.features));
-  CcaFactory factory = [brain] { return make_c_libra(brain, /*training=*/false); };
+  CcaFactory factory = [brain] { return make_c_libra(brain); };
 
   Scenario s = wired_scenario(24);
   s.duration = sec(8);
@@ -414,6 +414,35 @@ TEST(TrainParallel, WeightsBitwiseInvariantAcrossThreadCounts) {
   const std::string one_thread = run(1);
   EXPECT_EQ(run(2), one_thread);
   EXPECT_EQ(run(4), one_thread);
+}
+
+TEST(TrainParallel, NoTransitionCrossesAnEpisode) {
+  // An episode of n MIs gives n rewards and takes n actions. Its first reward
+  // has no open action to close, and its last action is still open when the
+  // episode ends, so it is dropped: n - 1 transitions per episode, none of
+  // them credited with another episode's reward. A horizon above the round's
+  // total keeps every transition buffered in the master.
+  TrainEnvRanges ranges;
+  ranges.capacity_hi_mbps = 50;
+  ranges.episode_length = sec(2);
+  RlCcaConfig cfg = libra_rl_config();
+  PpoConfig ppo = make_ppo_config(cfg, 5, {8, 8});
+  ppo.horizon = 4096;  // 10 ms MIs: at most 200 steps per 2 s episode
+  auto brain = std::make_shared<RlBrain>(ppo, feature_frame_size(cfg.features));
+  Trainer trainer(ranges, 77);
+  ThreadPool pool(2);
+  const auto curve = trainer.train_parallel(
+      [](const std::shared_ptr<RlBrain>& b) { return make_libra_rl(b, true); },
+      brain, /*episodes=*/3, pool, /*round_size=*/3);
+
+  ASSERT_EQ(curve.size(), 3u);
+  std::size_t want = 0;
+  for (const EpisodeStats& ep : curve) {
+    ASSERT_GT(ep.steps, 1);
+    want += static_cast<std::size_t>(ep.steps - 1);
+  }
+  EXPECT_EQ(brain->agent.update_count(), 0);
+  EXPECT_EQ(brain->agent.buffered_transitions(), want);
 }
 
 // --- CcaZoo brain cache ---------------------------------------------------

@@ -7,8 +7,8 @@
 //    rounding and the lane-tree reduction are the only differences);
 //  - exact kernels (row broadcast, column sums, normalize_into, tanh
 //    backprop) match scalar bitwise;
-//  - the AVX2 path is bitwise stable run-to-run, flat == blocked at odd tile
-//    sizes, and batched == per-sample at odd widths;
+//  - the AVX2 path is bitwise stable run-to-run, and batched == per-sample
+//    at odd widths;
 //  - vectorized tanh tracks std::tanh to ~1e-15 and handles ±0/±inf/NaN and
 //    saturation, with position-independent remainder lanes.
 //
@@ -180,21 +180,6 @@ TEST(SimdKernels, MatvecMatchesBatchedRowBitwise) {
       gemm_transB(xb, w, yb, false);
       for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(y[r], yb(0, r));
     }
-}
-
-TEST(SimdKernels, BlockedMatchesFlatBitwiseAtOddTiles) {
-  if (!have_avx2()) GTEST_SKIP() << "host lacks AVX2+FMA";
-  ScopedIsa avx2(simd::Isa::kAvx2);
-  Rng rng(13);
-  Matrix a(5, 37), b(29, 37), flat(5, 29), blocked(5, 29);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-  fill_uniform(flat, rng);
-  blocked.data() = flat.data();
-  gemm_transB(a, b, flat, true);
-  // Odd jb/kb tiles; kb is ignored on the AVX2 path by contract.
-  gemm_transB_blocked(a, b, blocked, true, /*jb=*/5, /*kb=*/3);
-  EXPECT_EQ(flat.data(), blocked.data());
 }
 
 TEST(SimdKernels, Avx2PathIsBitwiseStableRunToRun) {

@@ -132,7 +132,7 @@ class LibraEnvelope : public ::testing::TestWithParam<std::size_t> {
       s.duration = sec(15);
       batch.push_back(RunRequest::single(
           std::move(s),
-          [brain, params] { return make_c_libra(brain, false, params); }, 5));
+          [brain, params] { return make_c_libra(brain, params); }, 5));
     }
     sums_ = run_many(batch);
   }

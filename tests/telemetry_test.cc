@@ -327,7 +327,7 @@ TEST(TelemetryLibra, StageTransitionsLandAsExactEvents) {
   obs.telemetry.enabled = true;
   obs.telemetry.config.sample_interval = msec(1);
   auto net = run_scenario(
-      s, {{[brain] { return make_c_libra(brain, /*training=*/false); }}}, 11,
+      s, {{[brain] { return make_c_libra(brain); }}}, 11,
       obs);
 
   const Telemetry& t = net->telemetry();

@@ -158,7 +158,6 @@ double wl_ppo_update_ms() {
   // Isolates Ppo::update: the rollout buffer is refilled off the clock.
   RlCcaConfig cfg = libra_rl_config();
   PpoConfig ppo = make_ppo_config(cfg, 3, {64, 64});
-  ppo.collect_only = true;
   PpoAgent agent(ppo);
   Rng rng(5);
   Vector s(ppo.state_dim);

@@ -6,11 +6,11 @@
 // telemetry dumps to report_html.
 //
 //   record_run [--out=trace.jsonl] [--cca=cubic|bbr|libra] [--rate=MBPS]
-//              [--duration=SECS] [--seed=N] [--flows=N] [--meta] [--profile]
+//              [--duration=SECS] [--seed=N] [--flows=N] [--profile]
 //              [--no-trace] [--telemetry=FILE.jsonl] [--sample-ms=MS]
 //
-// --meta appends the end-of-run "run" metadata event (wall/sim time) to the
-// trace; off by default so default traces stay byte-identical per seed.
+// The trace ends with the run's "run" event (sim time only), so traces stay
+// byte-identical per seed; the summary JSON carries the wall time.
 // --profile enables the in-process profiler and prints its call-tree report
 // to stderr after the run.
 // --no-trace disables the flight recorder entirely (telemetry-only runs and
@@ -41,8 +41,8 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: record_run [--out=trace.jsonl] [--cca=cubic|bbr|libra] "
-    "[--rate=MBPS] [--duration=SECS] [--seed=N] [--flows=N] [--meta] "
-    "[--profile] [--no-trace] [--telemetry=FILE.jsonl] [--sample-ms=MS]\n";
+    "[--rate=MBPS] [--duration=SECS] [--seed=N] [--flows=N] [--profile] "
+    "[--no-trace] [--telemetry=FILE.jsonl] [--sample-ms=MS]\n";
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   double sample_ms = 1.0;
   std::uint64_t seed = 1;
   int n_flows = 1;
-  bool meta = false;
   bool profile = false;
   bool trace = true;
   for (int i = 1; i < argc; ++i) {
@@ -81,8 +80,6 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--sample-ms=", 0) == 0) {
       // At least the simulator clock's 1 us resolution.
       ok = parse_real(argv[i] + 12, 1e-3, kInf, sample_ms);
-    } else if (a == "--meta") {
-      meta = true;
     } else if (a == "--no-trace") {
       trace = false;
     } else if (a == "--profile") {
@@ -106,7 +103,7 @@ int main(int argc, char** argv) {
     // Inference-mode C-Libra over an untrained brain: the control cycle (and
     // its telemetry stage events) runs fine; decisions are just naive.
     auto brain = make_libra_rl_brain(seed);
-    factory = [brain] { return make_c_libra(brain, /*training=*/false); };
+    factory = [brain] { return make_c_libra(brain); };
   } else {
     std::cerr << "error: unknown --cca=" << cca << " (cubic|bbr|libra)\n";
     return 2;
@@ -118,7 +115,6 @@ int main(int argc, char** argv) {
   ObsOptions obs;
   obs.record = trace;
   if (trace) obs.trace_path = out_path;
-  obs.trace_meta = meta;
   if (!telemetry_path.empty()) {
     obs.telemetry.enabled = true;
     obs.telemetry.config.sample_interval =

@@ -9,11 +9,11 @@
 //
 // Summary mode (default): throughput and delay over [warmup, horizon)
 // reproduce the bench's printed run summary, because both derive from the
-// same per-ACK event stream. Traces that carry enqueue/deliver pairs also get
-// a per-flow queueing-delay breakdown (bottleneck sojourn percentiles,
-// matched on (flow, seq)). When the trace was recorded with trace_meta on,
-// the end-of-run "run" event's wall/sim times are reported as a simulation
-// speed ratio.
+// same per-ACK event stream. The horizon defaults to the trace's end-of-run
+// "run" event; a trace without one was cut short, and is reported as
+// truncated unless --horizon is given. Traces that carry enqueue/deliver
+// pairs also get a per-flow queueing-delay breakdown (bottleneck sojourn
+// percentiles, matched on (flow, seq)).
 //
 // Query mode (--event=KIND): prints the matching raw JSONL lines to stdout
 // (a grep that understands the schema) and the match count to stderr.
@@ -21,8 +21,9 @@
 // Filters compose in both modes: --flow restricts to one flow id and
 // --since/--until clip to a sim-time window (seconds).
 //
-// Exits non-zero if any input yields no events (truncated/empty trace) or
-// contains unparseable lines (corrupt/truncated mid-write). Unknown flags and
+// Exits non-zero if any input yields no events (empty trace), contains
+// unparseable lines (corrupt/truncated mid-write) or, in summary mode without
+// --horizon, has no "run" event (truncated). Unknown flags and
 // malformed or negative numeric values (flag_parse.h) exit 2 with the usage
 // text.
 #include <algorithm>
@@ -46,7 +47,8 @@ constexpr const char* kUsage =
     "                       [--since=SECS] [--until=SECS] [--event=KIND]\n"
     "                       [--top=N] TRACE.jsonl...\n"
     "\n"
-    "  --warmup/--horizon  summary window (stats over [warmup, horizon))\n"
+    "  --warmup/--horizon  summary window (stats over [warmup, horizon));\n"
+    "                      the horizon defaults to the trace's \"run\" event\n"
     "  --flow=N            restrict to one flow id (both modes)\n"
     "  --since/--until     clip events to a sim-time window (both modes)\n"
     "  --top=N             fleet traces: individual rows for the N highest-\n"
@@ -174,9 +176,8 @@ int summarize_file(const std::string& path, const Options& opt) {
   // Outstanding enqueue times by (flow, seq): bottleneck sojourn is the gap
   // to the matching deliver event. Drops erase the entry (never delivered).
   std::map<std::pair<int, std::int64_t>, double> enqueued;
-  double max_t = 0;
   std::int64_t total_events = 0, parse_errors = 0;
-  double run_wall_s = 0, run_sim_s = 0;  // from the optional "run" meta event
+  double run_end_s = -1;  // from the end-of-run "run" event; <0: none seen
 
   std::string line;
   while (std::getline(in, line)) {
@@ -188,16 +189,14 @@ int summarize_file(const std::string& path, const Options& opt) {
       continue;
     }
     ++total_events;
-    max_t = std::max(max_t, t);
 
     double flow_d = -1;
     find_number(line, "flow", flow_d);
     int flow = static_cast<int>(flow_d);
 
-    if (ev == "run") {  // end-of-run metadata, not a flow event
+    if (ev == "run") {  // the run's end, not a flow event
       ++kind_counts[std::string(ev)];
-      find_number(line, "wall_s", run_wall_s);
-      find_number(line, "sim_s", run_sim_s);
+      run_end_s = t;
       continue;
     }
     if (!passes(opt, t, flow)) continue;
@@ -247,7 +246,13 @@ int summarize_file(const std::string& path, const Options& opt) {
     return 1;
   }
 
-  double horizon = opt.horizon_s > 0 ? opt.horizon_s : max_t;
+  if (opt.horizon_s <= 0 && run_end_s < 0) {
+    std::cerr << "error: " << path
+              << ": no \"run\" event, so the run's end is unknown (truncated "
+                 "trace); pass --horizon to summarize it anyway\n";
+    return 1;
+  }
+  double horizon = opt.horizon_s > 0 ? opt.horizon_s : run_end_s;
   double window = horizon - opt.warmup_s;
 
   libra::section(path + "  (" + std::to_string(total_events) + " events, window [" +
@@ -425,11 +430,6 @@ int summarize_file(const std::string& path, const Options& opt) {
       rtt_samples > 0 ? rtt_weighted / static_cast<double>(rtt_samples) : 0;
   std::cout << "\ntotal: throughput " << libra::fmt(total_thr, 2) << " Mbps, avg delay "
             << libra::fmt(avg_delay, 1) << " ms\n";
-  if (run_wall_s > 0) {
-    std::cout << "speed: " << libra::fmt(run_sim_s, 1) << " sim s in "
-              << libra::fmt(run_wall_s, 3) << " wall s ("
-              << libra::fmt(run_sim_s / run_wall_s, 1) << "x real time)\n";
-  }
   if (parse_errors > 0) {
     std::cerr << "error: " << parse_errors
               << " unparseable lines (corrupt or truncated trace)\n";
