@@ -194,6 +194,21 @@ PY
   diff "$TRACE_DIR/fleet_serial.json" "$TRACE_DIR/fleet_sharded.json" || {
     echo "fleet smoke: sharded summary diverged from serial" >&2; exit 1; }
   ./build/tools/json_check "$TRACE_DIR/fleet_serial.json"
+  # The incast is one shard, so it never posts across a window boundary. The
+  # 4-hop parking lot's long flows post across every shard boundary, where
+  # each shard runs its next window as soon as the shards posting to it
+  # allow; with health on, serial and sharded must still print one summary.
+  ./build/tools/fleet_run --topo=parking_lot --hops=4 --flows=200 \
+    --duration=3 --cca=bbr --health --mode=serial \
+    > "$TRACE_DIR/lot_serial.json" 2>/dev/null
+  for threads in 2 4; do
+    ./build/tools/fleet_run --topo=parking_lot --hops=4 --flows=200 \
+      --duration=3 --cca=bbr --health --mode=sharded --threads="$threads" \
+      > "$TRACE_DIR/lot_sharded.json" 2>/dev/null
+    diff "$TRACE_DIR/lot_serial.json" "$TRACE_DIR/lot_sharded.json" || {
+      echo "fleet smoke: parking lot diverged from serial at --threads=$threads" >&2
+      exit 1; }
+  done
   # A malformed number, a non-positive duration or an unknown CCA must print
   # usage and exit 2 — not run a degenerate scenario or abort.
   for bad in --flows=abc --duration=-1 --cca=nosuch; do

@@ -18,7 +18,9 @@
 // are triggered by the first hook (or shard tick) at-or-past the window
 // boundary, so every FlowWindowRow — and therefore the whole timeline — is
 // byte-identical serial vs. sharded at any thread count. Flows never share
-// accumulator slots, so concurrent shards touch disjoint state.
+// accumulator slots, so concurrent shards touch disjoint state; the fleet
+// engine hands prepare() its shard-major row map, so the accumulators of two
+// shards do not share a cache line either. The timeline stays flow-major.
 //
 // RTT percentiles come from a fixed-width per-flow histogram (default 500 us
 // buckets, 96 buckets = 48 ms span, last bucket absorbs overflow); the p95 is
@@ -100,11 +102,20 @@ class FleetHealth {
 
   /// Sizes every accumulator and timeline row for `metas.size()` flows over
   /// `duration`. After this call the hooks and roll() never allocate.
-  void prepare(SimDuration duration, std::vector<FleetFlowMeta> metas) {
+  /// `rows[flow]` is the flow's accumulator row, below `row_count`; empty
+  /// `rows` means row = flow id.
+  void prepare(SimDuration duration, std::vector<FleetFlowMeta> metas,
+               std::vector<std::size_t> rows = {}, std::size_t row_count = 0) {
     if (!enabled_) return;
     if (duration <= 0)
       throw std::invalid_argument("FleetHealth: duration must be > 0");
     const std::size_t flows = metas.size();
+    if (rows.empty()) {
+      rows.resize(flows);
+      for (std::size_t i = 0; i < flows; ++i) rows[i] = i;
+      row_count = flows;
+    }
+    row_ = std::move(rows);
     timeline_.config = config_;
     timeline_.duration = duration;
     timeline_.n_windows =
@@ -112,22 +123,23 @@ class FleetHealth {
     timeline_.metas = std::move(metas);
     timeline_.rows.assign(
         flows * static_cast<std::size_t>(timeline_.n_windows), FlowWindowRow{});
-    acc_acked_.assign(flows, 0);
-    acc_sent_.assign(flows, 0);
-    acc_lost_.assign(flows, 0);
-    acc_rtt_sum_.assign(flows, 0);
-    acc_rtt_n_.assign(flows, 0);
-    acc_rtt_min_.assign(flows, std::numeric_limits<std::int32_t>::max());
-    hist_.assign(flows * static_cast<std::size_t>(config_.rtt_buckets), 0);
-    cur_win_.assign(flows, 0);
-    cur_end_.assign(flows, timeline_.n_windows > 1 ? config_.window : kSimTimeMax);
+    acc_acked_.assign(row_count, 0);
+    acc_sent_.assign(row_count, 0);
+    acc_lost_.assign(row_count, 0);
+    acc_rtt_sum_.assign(row_count, 0);
+    acc_rtt_n_.assign(row_count, 0);
+    acc_rtt_min_.assign(row_count, std::numeric_limits<std::int32_t>::max());
+    hist_.assign(row_count * static_cast<std::size_t>(config_.rtt_buckets), 0);
+    cur_win_.assign(row_count, 0);
+    cur_end_.assign(row_count,
+                    timeline_.n_windows > 1 ? config_.window : kSimTimeMax);
   }
 
   // --- hot-path hooks (inline no-ops while disabled) -----------------------
 
   void on_ack(int flow, std::int64_t bytes, SimDuration rtt) {
     if (!enabled_) return;
-    const auto i = static_cast<std::size_t>(flow);
+    const std::size_t i = row_[static_cast<std::size_t>(flow)];
     acc_acked_[i] += bytes;
     acc_rtt_sum_[i] += rtt;
     ++acc_rtt_n_[i];
@@ -144,19 +156,19 @@ class FleetHealth {
 
   void on_send(int flow) {
     if (!enabled_) return;
-    ++acc_sent_[static_cast<std::size_t>(flow)];
+    ++acc_sent_[row_[static_cast<std::size_t>(flow)]];
   }
 
   void on_loss(int flow) {
     if (!enabled_) return;
-    ++acc_lost_[static_cast<std::size_t>(flow)];
+    ++acc_lost_[row_[static_cast<std::size_t>(flow)]];
   }
 
   /// True when `now` is past the flow's current window. Callers check this
   /// before every accumulate hook (one comparison) and only snapshot
   /// cwnd/pacing when it fires, so the common path stays branch + adds.
   bool needs_roll(int flow, SimTime now) const {
-    return now >= cur_end_[static_cast<std::size_t>(flow)];
+    return now >= cur_end_[row_[static_cast<std::size_t>(flow)]];
   }
 
   /// Flushes every window strictly before `now`'s window: the first flushed
@@ -190,11 +202,12 @@ class FleetHealth {
 
  private:
   void flush_to(int flow, int target, std::int64_t cwnd, double pacing_bps) {
-    const auto i = static_cast<std::size_t>(flow);
+    const auto f = static_cast<std::size_t>(flow);
+    const std::size_t i = row_[f];
     const auto nb = static_cast<std::size_t>(config_.rtt_buckets);
     while (cur_win_[i] < target) {
       FlowWindowRow& row =
-          timeline_.rows[i * static_cast<std::size_t>(timeline_.n_windows) +
+          timeline_.rows[f * static_cast<std::size_t>(timeline_.n_windows) +
                          static_cast<std::size_t>(cur_win_[i])];
       row.acked_bytes = acc_acked_[i];
       row.sent = acc_sent_[i];
@@ -236,15 +249,17 @@ class FleetHealth {
   FleetStatsConfig config_;
   FleetTimeline timeline_;
 
-  // Per-flow current-window accumulators (SoA). A flow's slots are touched
-  // only from its owning shard, so sharded execution races on nothing.
+  // Current-window accumulators (SoA), one row per flow at row_[flow]. A
+  // flow's slots are touched only from its owning shard, so sharded
+  // execution races on nothing.
+  std::vector<std::size_t> row_;
   std::vector<std::int64_t> acc_acked_;
   std::vector<std::int32_t> acc_sent_;
   std::vector<std::int32_t> acc_lost_;
   std::vector<std::int64_t> acc_rtt_sum_;
   std::vector<std::int32_t> acc_rtt_n_;
   std::vector<std::int32_t> acc_rtt_min_;
-  std::vector<std::uint32_t> hist_;  // [flow * rtt_buckets + bucket]
+  std::vector<std::uint32_t> hist_;  // [row * rtt_buckets + bucket]
   std::vector<std::int32_t> cur_win_;
   std::vector<SimTime> cur_end_;
 };

@@ -23,9 +23,9 @@
 //
 // Quiescence contract: merged()/to_json()/text_report()/reset() read or clear
 // every thread's tree; call them only while no profiled spans are running
-// (e.g. after run_many/parallel_for returned — future/pool completion gives
-// the necessary happens-before). Span names must outlive the profiler; string
-// literals are the intended currency.
+// (e.g. after run_many/parallel_for_chunked returned — future/pool completion
+// gives the necessary happens-before). Span names must outlive the profiler;
+// string literals are the intended currency.
 #pragma once
 
 #include <atomic>

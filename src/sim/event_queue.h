@@ -148,7 +148,7 @@ class alignas(64) EventQueue {
   /// Runs every event with time strictly < t and leaves the clock at the last
   /// executed event. Window processing for the sharded engine: a lookahead
   /// window [T, T+L) must exclude its right edge, where cross-shard messages
-  /// merged at the barrier may still land.
+  /// merged at the start of the next window may still land.
   void run_before(SimTime t) {
     for (int src = earliest(); src != kNone && head(src).time < t; src = earliest())
       dispatch(src);

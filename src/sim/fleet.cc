@@ -40,8 +40,6 @@ FleetNetwork::FleetNetwork(std::vector<LinkConfig> hops, FleetOptions options)
       queues_[s]->set_seq_source(&seq_[s].next);
       shards_[s].queue = queues_[s].get();
     }
-    outbox_.resize(nshards);
-    for (auto& row : outbox_) row.resize(nshards);
   }
 
   // A hop that can CE-mark makes every sender ECT, so its marks reach the
@@ -132,25 +130,56 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
 }
 
 void FleetNetwork::compute_lookahead() {
+  const std::size_t n = shards_.size();
+  edge_of_.assign(n * n, kNoEdge);
   SimDuration min_cross = kSimTimeMax;
+  auto add_edge = [&](std::size_t src, std::size_t dst, SimDuration delay) {
+    std::size_t& e = edge_of_[src * n + dst];
+    if (e == kNoEdge) {
+      e = edges_.size();
+      edges_.emplace_back();
+      edges_[e].src = src;
+      edges_[e].dst = dst;
+    }
+    edges_[e].delay = std::min(edges_[e].delay, delay);
+    min_cross = std::min(min_cross, delay);
+  };
   for (const Route& r : routes_) {
-    if (r.sender_shard != shard_of_hop(r.enter))
-      min_cross = std::min(min_cross, opts_.access_delay);
+    const std::size_t enter = shard_of_hop(r.enter);
+    const std::size_t exit = shard_of_hop(r.exit);
+    if (r.sender_shard != enter)
+      add_edge(r.sender_shard, enter, opts_.access_delay);
     for (int h = r.enter; h < r.exit; ++h)
-      min_cross =
-          std::min(min_cross, hop_delay_[static_cast<std::size_t>(h)]);
-    if (r.sender_shard != shard_of_hop(r.exit))
-      min_cross = std::min(min_cross, r.ack_delay);
-  }
-  if (min_cross == kSimTimeMax) {
-    // Single-shard topology: one window covers the whole run.
-    lookahead_ = std::max<SimDuration>(opts_.duration, 1);
-    return;
+      add_edge(shard_of_hop(h), shard_of_hop(h + 1),
+               hop_delay_[static_cast<std::size_t>(h)]);
+    if (r.sender_shard != exit) add_edge(exit, r.sender_shard, r.ack_delay);
   }
   if (min_cross <= 0)
     throw std::invalid_argument(
         "FleetNetwork: cross-shard delays (hop/access/ack) must be > 0");
-  lookahead_ = min_cross;
+  // Single-shard topology: one window covers the whole run.
+  lookahead_ = min_cross == kSimTimeMax
+                   ? std::max<SimDuration>(opts_.duration, 1)
+                   : min_cross;
+  windows_ =
+      (std::max<SimTime>(opts_.duration, 0) + lookahead_ - 1) / lookahead_;
+  for (Edge& edge : edges_) {
+    edge.slack = edge.delay / lookahead_;
+    // A source may run two windows past the last one its destination
+    // finished (ready()); perfbench fleet ran ~30% slower with one, and
+    // not measurably faster with eight (EXPERIMENTS.md).
+    edge.ring.resize(static_cast<std::size_t>(edge.slack) + 2);
+  }
+  // Sources in ascending order, so each shard merges its inputs in shard
+  // order.
+  for (std::size_t src = 0; src < n; ++src) {
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      const std::size_t e = edge_of_[src * n + dst];
+      if (e == kNoEdge) continue;
+      shards_[src].out.push_back(e);
+      shards_[dst].in.push_back(e);
+    }
+  }
 }
 
 void FleetNetwork::setup() {
@@ -173,7 +202,7 @@ void FleetNetwork::setup() {
       metas[i].stop = cfg.stop_time;
       metas[i].byte_budget = cfg.byte_budget;
     }
-    health_->prepare(opts_.duration, std::move(metas));
+    health_->prepare(opts_.duration, std::move(metas), row_, rows);
     // Observers are wired only when health is on, so a health-off run keeps
     // the sender's plain null-observer checks on its ack/loss/send paths.
     for (std::size_t i = 0; i < senders_.size(); ++i) {
@@ -314,39 +343,109 @@ void FleetNetwork::telemetry_tick() {
                           [this] { telemetry_tick(); });
 }
 
-void FleetNetwork::process_window(SimTime bound, bool inclusive) {
-  auto work = [this, bound, inclusive](std::size_t s) {
-    PROF_SCOPE("fleet.shard");
-    EventQueue& q = *shards_[s].queue;
-    if (inclusive) {
-      q.run_until(bound);
-    } else {
-      q.run_before(bound);
+void FleetNetwork::run_window(std::size_t s, std::int64_t k) {
+  PROF_SCOPE("fleet.shard");
+  Shard& sh = shards_[s];
+  sh.window = k;
+  EventQueue& q = *sh.queue;
+  {
+    PROF_SCOPE("fleet.merge");
+    for (std::size_t e : sh.in) {
+      Edge& edge = edges_[e];
+      const std::int64_t j = k - edge.slack;
+      if (j < 0) continue;
+      Bucket& b = edge.ring[static_cast<std::size_t>(j) % edge.ring.size()];
+      for (PostedMsg& m : b.msgs) q.schedule_keyed(m.t, m.key, std::move(m.fn));
+      b.msgs.clear();
     }
-  };
-  const std::size_t n = shards_.size();
-  if (n <= 1 || pool_->thread_count() <= 1) {
-    for (std::size_t s = 0; s < n; ++s) work(s);
-    return;
   }
-  std::vector<std::future<void>> pending;
-  pending.reserve(n - 1);
-  for (std::size_t s = 1; s < n; ++s) pending.push_back(pool_->submit(work, s));
-  work(0);
-  for (auto& f : pending) f.get();
+  if (k < windows_) {
+    q.run_before(std::min<SimTime>(opts_.duration, (k + 1) * lookahead_));
+  } else {
+    // Events at exactly t == end; anything they post lands past the end.
+    q.run_until(opts_.duration);
+  }
 }
 
-void FleetNetwork::merge_outboxes() {
-  PROF_SCOPE("fleet.merge");
+// Shard `sh` may run its next window k once every source has finished
+// windows 0..k - slack (all its posts landing before window k ends sit in
+// buckets due by k), and once every destination has merged the bucket that
+// window k refills: the ring's previous window k - size, merged at the
+// destination's window k - size + slack.
+bool FleetNetwork::ready(const Shard& sh) const {
+  if (sh.running || sh.done > windows_) return false;
+  for (std::size_t e : sh.in) {
+    const Edge& edge = edges_[e];
+    if (shards_[edge.src].done <= sh.done - edge.slack) return false;
+  }
+  for (std::size_t e : sh.out) {
+    const Edge& edge = edges_[e];
+    const auto size = static_cast<std::int64_t>(edge.ring.size());
+    if (shards_[edge.dst].done <= sh.done - size + edge.slack) return false;
+  }
+  return true;
+}
+
+void FleetNetwork::participate() {
   const std::size_t n = shards_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    EventQueue& q = *shards_[dst].queue;
-    for (std::size_t src = 0; src < n; ++src) {
-      auto& box = outbox_[src][dst];
-      for (PostedMsg& m : box) q.schedule_keyed(m.t, m.key, std::move(m.fn));
-      box.clear();
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (error_) return;
+    // The ready shard with the lowest window, ties to the lower index.
+    std::size_t pick = n;
+    bool finished = true;
+    for (std::size_t s = 0; s < n; ++s) {
+      const Shard& sh = shards_[s];
+      finished = finished && sh.done > windows_;
+      if (ready(sh) && (pick == n || sh.done < shards_[pick].done)) pick = s;
+    }
+    if (finished) return;
+    if (pick == n) {
+      ready_cv_.wait(lock);
+      continue;
+    }
+    Shard& sh = shards_[pick];
+    sh.running = true;
+    const std::int64_t k = sh.done;
+    lock.unlock();
+    std::exception_ptr failed;
+    try {
+      run_window(pick, k);
+    } catch (...) {
+      failed = std::current_exception();
+    }
+    lock.lock();
+    sh.running = false;
+    if (failed) {
+      if (!error_) error_ = failed;
+    } else {
+      ++sh.done;
+    }
+    ready_cv_.notify_all();
+  }
+}
+
+void FleetNetwork::run_sharded() {
+  const std::size_t n = shards_.size();
+  if (!pool_) {
+    const std::size_t want = opts_.threads ? opts_.threads : n;
+    if (want > 1 && n > 1)
+      pool_ = std::make_unique<ThreadPool>(std::min(want, n - 1));
+  }
+  std::vector<std::future<void>> helpers;
+  if (pool_) {
+    helpers.reserve(pool_->thread_count());
+    try {
+      for (std::size_t i = 0; i < pool_->thread_count(); ++i)
+        helpers.push_back(pool_->submit([this] { participate(); }));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
     }
   }
+  participate();
+  for (std::future<void>& f : helpers) f.wait();
+  if (error_) std::rethrow_exception(error_);
 }
 
 void FleetNetwork::run() {
@@ -357,25 +456,10 @@ void FleetNetwork::run() {
     compute_lookahead();
     setup();
   }
-  const SimTime end = opts_.duration;
   if (mode_ == FleetMode::kSerial) {
-    queues_[0]->run_until(end);
+    queues_[0]->run_until(opts_.duration);
   } else {
-    if (!pool_) {
-      std::size_t want = opts_.threads ? opts_.threads : shards_.size();
-      pool_ = std::make_unique<ThreadPool>(
-          std::max<std::size_t>(1, std::min(want, shards_.size())));
-    }
-    SimTime t = 0;
-    while (t < end) {
-      const SimTime bound = std::min<SimTime>(end, t + lookahead_);
-      process_window(bound, /*inclusive=*/false);
-      merge_outboxes();
-      t = bound;
-    }
-    // Events at exactly t == end (including messages merged at the final
-    // barrier). Anything they generate lands at > end in both modes.
-    process_window(end, /*inclusive=*/true);
+    run_sharded();
   }
   finalize_health();
   wall_time_s_ +=

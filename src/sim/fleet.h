@@ -18,13 +18,20 @@
 //    bottleneck hop (plus optional sender groups) and the per-shard counters
 //    advance exactly as they would under sharded execution (the queue's pop
 //    hook switches the active counter to the executing event's shard).
-//  - kSharded: each shard runs its own EventQueue, processed in conservative
-//    lookahead windows of width L = the minimum cross-shard propagation
-//    delay. Within a window shards run independently (in parallel); events a
-//    shard schedules onto another shard carry at least L of delay, are
-//    buffered in per-(src,dst) outboxes, and are merged into the destination
-//    queues in fixed shard order at the window barrier — before the
-//    destination has processed any event at or past the message's time.
+//  - kSharded: each shard runs its own EventQueue in windows of width L, the
+//    lookahead: the minimum cross-shard propagation delay. Shards post to
+//    each other only along the edges of flow routes (sender -> first hop,
+//    hop -> next hop, exit hop -> sender for the ACK), and an edge's slack is
+//    its smallest delay in whole windows (>= 1). A message posted in the
+//    source's window j lands no earlier than window j + slack, so a shard
+//    may run window k as soon as every shard posting to it has finished
+//    windows 0..k - slack; there is no global barrier. Posts wait in a
+//    bucket per source window; a shard merges, at the start of its window
+//    k, exactly the buckets of source windows k - slack, sources in shard
+//    order, so every queue's contents at every window start depend on the
+//    topology alone, not on thread timing. The calling thread and the pool
+//    threads each claim the ready shard with the lowest window, and block
+//    while none is ready.
 //
 // Because per-shard keys and per-shard execution order are identical in both
 // modes, every simulated quantity — flow counters, queue evolution, RNG
@@ -43,12 +50,16 @@
 // enters hop i % hops): setup() lays the SoA rows out shard-major, one
 // padded block per shard, behind a flow id -> row map; the per-shard key
 // counters sit one per cache line; each shard's EventQueue and each hop's
-// Link are line-aligned objects; and per-flow measurement reads the
-// Sender's own counters, so an ACK writes nothing outside its sender.
+// Link are line-aligned objects; per-flow measurement reads the Sender's own
+// counters, so an ACK writes nothing outside its sender but, with health on,
+// FleetHealth's accumulators, which take the same row map.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -70,8 +81,10 @@ enum class FleetMode { kSerial, kSharded };
 
 struct FleetOptions {
   FleetMode mode = FleetMode::kSerial;
-  /// Worker threads for kSharded (capped at the shard count); 0 = one per
-  /// shard. Has no effect on results — only on wall time.
+  /// Pool threads that run shard windows beside the calling thread under
+  /// kSharded (capped at shards - 1); 0 = one thread per shard, 1 = every
+  /// shard on the calling thread. Has no effect on results — only on wall
+  /// time.
   std::size_t threads = 0;
   /// Extra shards that split senders off their first hop's shard (incast
   /// parallelism); 0 keeps each sender co-located with its first hop.
@@ -158,7 +171,9 @@ class FleetNetwork {
   /// Adds a flow before run(); returns its id (dense, in insertion order).
   int add_flow(FleetFlowDef def);
 
-  /// Runs the whole scenario to options.duration.
+  /// Runs the whole scenario to options.duration. If an event throws, every
+  /// shard stops and run() rethrows the first exception once no thread is
+  /// running a shard any more.
   void run();
 
   FleetSummary summarize() const;
@@ -219,6 +234,11 @@ class FleetNetwork {
     EventQueue* queue = nullptr;  // owned by queues_
     std::vector<int> flows;       // ascending flow ids
     std::vector<int> hops;
+    std::vector<std::size_t> in;   // edges into it, by source shard
+    std::vector<std::size_t> out;  // edges out of it
+    std::int64_t window = 0;       // kSharded: lookahead window being run
+    std::int64_t done = 0;         // kSharded: windows finished (mu_)
+    bool running = false;          // kSharded: claimed by a thread (mu_)
     bool window_snapped = false;
   };
 
@@ -237,6 +257,25 @@ class FleetNetwork {
     EventQueue::Callback fn;
   };
 
+  // The posts of one source window. Line-aligned: a source writes its rings
+  // on every post, so no two rings may share a line.
+  struct alignas(64) Bucket {
+    std::vector<PostedMsg> msgs;
+  };
+
+  // An ordered shard pair (src, dst) along which some route posts: sender ->
+  // first hop, hop -> next hop, or exit hop -> sender. A message src posts
+  // in its window j lands at or after j * L + delay >= (j + slack) * L, so
+  // dst merges bucket j at the start of its window j + slack.
+  struct Edge {
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    SimDuration delay = kSimTimeMax;  // smallest delay of any route on it
+    std::int64_t slack = 0;           // delay / lookahead, >= 1
+    std::vector<Bucket> ring;         // bucket of src window j: j % size
+  };
+  static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
+
   std::size_t shard_of_hop(int h) const { return static_cast<std::size_t>(h); }
 
   /// Serial mode: makes `shard` the executing context so every key drawn by
@@ -254,8 +293,9 @@ class FleetNetwork {
 
   /// Schedules `fn` onto shard `dst`, `delay` after shard `src`'s current
   /// time. Intra-shard posts go straight to the queue; cross-shard posts
-  /// carry a (src, src-sequence) key and, under kSharded, ride the outbox to
-  /// the next barrier. Cross-shard delay must be >= the lookahead.
+  /// carry a (src, src-sequence) key and, under kSharded, wait in the edge's
+  /// bucket for src's current window. Cross-shard delay must be >= the
+  /// lookahead.
   template <typename Fn>
   void post(std::size_t src, std::size_t dst, SimDuration delay, Fn&& fn) {
     if (src == dst) {
@@ -285,7 +325,9 @@ class FleetNetwork {
                              f();
                            }));
     } else {
-      outbox_[src][dst].push_back(
+      Edge& e = edges_[edge_of_[src * shards_.size() + dst]];
+      const auto j = static_cast<std::size_t>(shards_[src].window);
+      e.ring[j % e.ring.size()].msgs.push_back(
           PostedMsg{t, key, EventQueue::Callback(std::forward<Fn>(fn))});
     }
   }
@@ -299,8 +341,13 @@ class FleetNetwork {
   void health_roll(int flow, SimTime now);
   void finalize_health();
   void telemetry_tick();
-  void process_window(SimTime bound, bool inclusive);
-  void merge_outboxes();
+  void run_sharded();
+  /// One thread's share of run_sharded(): claims ready shard windows until
+  /// every shard has run its last one or a window threw.
+  void participate();
+  bool ready(const Shard& sh) const;
+  /// Merges the buckets due at `s`'s window `k`, then runs the window.
+  void run_window(std::size_t s, std::int64_t k);
 
   FleetMode mode_;
   FleetOptions opts_;
@@ -324,9 +371,16 @@ class FleetNetwork {
   std::vector<SeqCounter> seq_;     // per-shard key counters, pre-shifted
   std::size_t current_ = 0;         // serial mode: executing shard
   std::vector<std::uint64_t> shard_events_;  // serial: events per shard
-  std::vector<std::vector<std::vector<PostedMsg>>> outbox_;  // [src][dst]
   SimDuration lookahead_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
+
+  // kSharded: windows [k * L, (k + 1) * L) for k < windows_ run before the
+  // lookahead edge; window windows_ is the inclusive step at t == duration.
+  std::vector<Edge> edges_;
+  std::vector<std::size_t> edge_of_;  // [src * shards + dst] -> edges_ index
+  std::int64_t windows_ = 0;
+  std::mutex mu_;                 // guards Shard::done, Shard::running, error_
+  std::condition_variable ready_cv_;  // a window finished, or one threw
+  std::exception_ptr error_;
   std::unique_ptr<Telemetry> telemetry_;
   std::unique_ptr<FleetHealth> health_;
   std::unique_ptr<FlightRecorder> recorder_;
@@ -334,6 +388,9 @@ class FleetNetwork {
   bool health_finalized_ = false;
   bool started_ = false;
   double wall_time_s_ = 0;
+  // Last, so it is destroyed first: its threads run shards, which use every
+  // member above.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace libra

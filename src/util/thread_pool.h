@@ -6,8 +6,8 @@
 // pool preserves bitwise determinism while using every core. The one
 // intra-task fan-out is the PPO update's actor and critic passes, which share
 // no mutable state. `submit` returns a std::future (exceptions propagate
-// through it); `parallel_for` and `parallel_for_chunked` block until a whole
-// index range has been processed.
+// through it); `parallel_for_chunked` blocks until a whole index range has
+// been processed.
 #pragma once
 
 #include <algorithm>
@@ -84,28 +84,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for every i in [begin, end), fanned across the pool; blocks
-  /// until the range is done. The first task exception (lowest index wins on
-  /// ties by submission order) is rethrown on the caller.
-  template <typename F>
-  void parallel_for(std::size_t begin, std::size_t end, F&& fn) {
-    if (begin >= end) return;
-    std::vector<std::future<void>> pending;
-    pending.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      pending.push_back(submit([&fn, i] { fn(i); }));
-    }
-    std::exception_ptr first_error;
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
  private:
   void worker_loop() {
     for (;;) {
@@ -145,8 +123,8 @@ struct ChunkLoop {
   std::size_t error_index = static_cast<std::size_t>(-1);
 
   // Claim-and-run until the cursor passes the end. Exceptions are recorded
-  // (lowest index wins) and the loop keeps going, matching parallel_for's
-  // "drain everything, rethrow first" contract.
+  // (lowest index wins) and the loop keeps going: drain everything, then
+  // rethrow the first.
   void drain() {
     for (;;) {
       std::size_t i0 = cursor.fetch_add(chunk, std::memory_order_relaxed);

@@ -17,7 +17,10 @@
 //   - event queue: steady-state schedule/run cycles over every lane, the
 //     heap (schedule_at timers, keyed events, lane overflow) and re-keyed
 //     lanes allocate nothing once a warm-up cycle sized every ring, the heap
-//     and the slot pools.
+//     and the slot pools;
+//   - sharded fleet engine: a run allocates the same count every time at a
+//     given thread count, so what a shard's queue holds never depends on
+//     thread timing.
 //
 // The counting wrapper replaces the over-aligned forms too: cache-line
 // aligned types (EventQueue, Link, the fleet's per-shard counters)
@@ -33,6 +36,9 @@
 #include <memory>
 #include <new>
 
+#include "classic/bbr.h"
+#include "classic/cubic.h"
+#include "harness/fleet_scenario.h"
 #include "obs/fleet_stats.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
@@ -40,6 +46,7 @@
 #include "rl/ppo.h"
 #include "rl/simd.h"
 #include "sim/event_queue.h"
+#include "sim/fleet.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -349,6 +356,53 @@ TEST(EventQueueAllocation, OverAlignedQueueAllocationIsCounted) {
   EXPECT_EQ(g_allocations.load(), 1u)
       << "the over-aligned EventQueue allocation bypassed the counter";
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q.get()) % alignof(EventQueue), 0u);
+}
+
+// Heap allocations of one sharded run() of a 4-hop, 404-flow parking lot
+// whose long flows post across every shard boundary, cubic and bbr
+// alternating.
+std::size_t sharded_fleet_run_allocations(std::size_t threads) {
+  FleetSpec spec = parking_lot_fleet(/*hops=*/4, /*cross_per_hop=*/100,
+                                     /*long_flows=*/4, /*rate_mbps=*/480.0);
+  spec.buffer_bytes = 750'000;
+  spec.duration = sec(2);
+  spec.warmup = msec(500);
+  FleetRunOptions run;
+  run.mode = FleetMode::kSharded;
+  run.threads = threads;
+  FleetNetwork net(fleet_links(spec), fleet_options(spec, 1, run));
+  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 1);
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    FleetFlowDef def;
+    if (i % 2 == 0) {
+      def.cca = std::make_unique<Cubic>();
+    } else {
+      def.cca = std::make_unique<Bbr>();
+    }
+    def.start = plans[i].start;
+    def.enter_hop = plans[i].enter_hop;
+    def.exit_hop = plans[i].exit_hop;
+    net.add_flow(std::move(def));
+  }
+  g_allocations.store(0);
+  g_counting.store(true);
+  net.run();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+TEST(FleetAllocation, ShardedRunAllocatesTheSameEveryTime) {
+  // A shard merges exactly the cross-shard posts due at each window start,
+  // so its queue's contents at every window start, and every allocation
+  // they cause, follow from the topology. An engine that merged every
+  // bucket its sources had finished failed this in 4 of 5 runs.
+  for (std::size_t threads : {2u, 4u}) {
+    const std::size_t first = sharded_fleet_run_allocations(threads);
+    EXPECT_GT(first, 0u);
+    for (int run = 1; run < 3; ++run)
+      EXPECT_EQ(sharded_fleet_run_allocations(threads), first)
+          << "threads=" << threads << ", run " << run;
+  }
 }
 
 TEST(ProfilerAllocation, DisabledSpanAllocatesNothing) {

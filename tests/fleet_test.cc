@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -156,11 +157,14 @@ TEST(FleetIdentity, ShardedMatchesSerialWithSenderShards) {
   spec.sender_shards = 2;
   FleetRunOptions serial;
   const FleetSummary base = run_fleet(spec, mixed_classic, 7, serial);
-  FleetRunOptions sharded;
-  sharded.mode = FleetMode::kSharded;
-  sharded.threads = 4;
-  const FleetSummary got = run_fleet(spec, mixed_classic, 7, sharded);
-  EXPECT_TRUE(deterministically_equal(base, got));
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    FleetRunOptions sharded;
+    sharded.mode = FleetMode::kSharded;
+    sharded.threads = threads;
+    const FleetSummary got = run_fleet(spec, mixed_classic, 7, sharded);
+    EXPECT_TRUE(deterministically_equal(base, got))
+        << "sender shards diverged at threads=" << threads;
+  }
 }
 
 TEST(FleetIdentity, ShardedMatchesSerialForLearnedCca) {
@@ -268,6 +272,65 @@ TEST(FleetEngine, RejectsCrossShardDelayBelowLookahead) {
   EXPECT_THROW(run_fleet(
                    spec, [] { return std::make_unique<Cubic>(); }, 1),
                std::invalid_argument);
+}
+
+// CUBIC whose on_ack throws once the run reaches `at`.
+class FailingCubic final : public CongestionControl {
+ public:
+  explicit FailingCubic(SimTime at) : at_(at) {}
+  void on_packet_sent(const SendEvent& ev) override { cubic_.on_packet_sent(ev); }
+  void on_ack(const AckEvent& ack) override {
+    if (ack.now >= at_) throw std::runtime_error("FailingCubic: on_ack failed");
+    cubic_.on_ack(ack);
+  }
+  void on_loss(const LossEvent& loss) override { cubic_.on_loss(loss); }
+  bool wants_tick() const override { return cubic_.wants_tick(); }
+  RateBps pacing_rate() const override { return cubic_.pacing_rate(); }
+  std::int64_t cwnd_bytes() const override { return cubic_.cwnd_bytes(); }
+  std::string name() const override { return "failing_cubic"; }
+
+ private:
+  Cubic cubic_;
+  SimTime at_;
+};
+
+TEST(FleetEngine, ShardThatThrowsStopsEveryShardBeforeRunReturns) {
+  // A flow entering hop 2 throws 1 s in, while the other three shards are
+  // mid-run. run() must rethrow only once no thread runs a shard: the
+  // network and its health accumulators are destroyed right after, so a
+  // shard still running would write freed memory (the ASan and TSan legs
+  // run this test).
+  FleetSpec spec = parking_lot_fleet(/*hops=*/4, /*cross_per_hop=*/6,
+                                     /*long_flows=*/2, /*rate_mbps=*/48.0);
+  spec.duration = sec(3);
+  spec.warmup = sec(1);
+  const std::vector<FleetFlowPlan> plans = plan_fleet_flows(spec, 1);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FleetRunOptions run;
+    run.mode = FleetMode::kSharded;
+    run.threads = threads;
+    auto net = std::make_unique<FleetNetwork>(fleet_links(spec),
+                                              fleet_options(spec, 1, run));
+    net->enable_health();
+    bool failing = false;
+    for (const FleetFlowPlan& p : plans) {
+      FleetFlowDef def;
+      if (!failing && p.enter_hop == 2) {
+        def.cca = std::make_unique<FailingCubic>(sec(1));
+        failing = true;
+      } else {
+        def.cca = std::make_unique<Cubic>();
+      }
+      def.start = p.start;
+      def.enter_hop = p.enter_hop;
+      def.exit_hop = p.exit_hop;
+      net->add_flow(std::move(def));
+    }
+    ASSERT_TRUE(failing);
+    EXPECT_THROW(net->run(), std::runtime_error);
+    net.reset();
+  }
 }
 
 TEST(FleetEngine, TelemetryRequiresSerialMode) {

@@ -43,31 +43,6 @@ TEST(ThreadPool, ExceptionsPropagateThroughFuture) {
   EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(5, 5, [](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ParallelForRethrowsTaskException) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(pool.parallel_for(0, 16,
-                                 [&](std::size_t i) {
-                                   if (i == 7) throw std::logic_error("task 7");
-                                   completed.fetch_add(1);
-                                 }),
-               std::logic_error);
-  EXPECT_EQ(completed.load(), 15);  // the batch still drains
-}
-
 TEST(ThreadPool, ManyTasksOnFewThreads) {
   ThreadPool pool(2);
   std::atomic<long> sum{0};
